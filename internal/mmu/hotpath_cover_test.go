@@ -8,16 +8,17 @@ import (
 	"vdirect/internal/telemetry/walkprof"
 )
 
-// Edge paths of the batched block loop and the fused miss path: large-
-// page handover, pure last-page tails, mid-walk nested faults, the
-// memo oracle's invalidation and verification machinery, and the
-// per-scheme L2-hit fast exits.
+// Edge paths of the block loop and the miss paths: mixed page sizes,
+// pure last-page tails, mid-walk nested faults on the fused and the
+// general 2D walker, the memo oracle's invalidation and verification
+// machinery, and the per-scheme L2-hit fast exits.
 
 // TestTranslateBlockLargePageHandover drives a native cell whose guest
 // table mixes 4K and 2M leaves through TranslateBlock and checks it
-// against per-event Translate on a twin: the first 2M insert must hand
-// the rest of the block to the per-event loop, and a later block must
-// skip the batched path entirely (large entries already resident).
+// against per-event Translate on a twin: a block in which a walk
+// inserts the first 2M entry mid-block, and a later block with the
+// large entry already resident, must both match result for result and
+// stat for stat.
 func TestTranslateBlockLargePageHandover(t *testing.T) {
 	build := func() *env {
 		e := newEnv(t, 16, Config{})
@@ -31,11 +32,11 @@ func TestTranslateBlockLargePageHandover(t *testing.T) {
 	blk, per := build(), build()
 
 	vas := []uint64{
-		0x400010, 0x400020, // 4K page: batched miss, then last-page hit
-		0x40000008,             // 2M page: walk inserts large entry, handover
+		0x400010, 0x400020, // 4K page: miss, then last-page hit
+		0x40000008,             // 2M page: walk inserts a large entry mid-block
 		0x40003000, 0x40003008, // same 2M entry, new 4K page: L1 hit + last-page
-		0x401000, // second 4K page: per-event miss after handover
-		0x900000, // unmapped: fault inside the per-event loop
+		0x401000, // second 4K page: miss with a 2M entry resident
+		0x900000, // unmapped: fault mid-block
 		0x900010, // resumes after service
 		0x400018, // back on the first page
 	}
@@ -84,8 +85,8 @@ func TestTranslateBlockLargePageHandover(t *testing.T) {
 		t.Fatalf("stats diverge:\nblock:     %+v\nper-event: %+v", bs, ps)
 	}
 
-	// A fresh block with the 2M entry still resident must take the
-	// per-event loop from event zero and agree with the reference again.
+	// A fresh block with the 2M entry still resident must agree with the
+	// reference again.
 	vas2 := []uint64{0x400010, 0x40000100, 0x40000108}
 	evs2 := accessEvents(vas2)
 	out2 := make([]Result, len(evs2))
@@ -107,8 +108,8 @@ func TestTranslateBlockLargePageHandover(t *testing.T) {
 }
 
 // TestTranslateBlockLastPageTail: a block whose every event lands on
-// the page the previous block ended on gathers zero probes and must
-// resolve entirely on the last-page cache.
+// the page the previous block ended on probes no TLB and must resolve
+// entirely on the last-page cache carried across blocks.
 func TestTranslateBlockLastPageTail(t *testing.T) {
 	e := newEnv(t, 16, Config{})
 	e.mapGuest(t, 0x400000, 0x800000, 1)
@@ -261,9 +262,16 @@ func TestFusedWalkNestedFaults(t *testing.T) {
 		}
 	})
 	t.Run("table-ref-general", func(t *testing.T) {
-		// Same unmapped-node fault through the general (sampled) path:
-		// walkGuestTableSkip's nested loop and nestedWalk2D's fault exit.
+		// Same unmapped-node fault through the general 2D walker: Guest
+		// Direct with a segment that leaves the accessed gVAs uncovered
+		// walks the guest table in nestedWalk2D, reaching
+		// walkGuestTableSkip's nested loop and its fault exit. A period-1
+		// sampler checks that the faulting walk refunds its tick.
 		e := newEnv(t, 16, Config{})
+		e.m.SetGuestSegment(segment.NewRegisters(0x10000000, 0x20000000, 2<<20))
+		if e.m.Mode() != ModeGuestDirect {
+			t.Fatalf("mode = %v, want %v", e.m.Mode(), ModeGuestDirect)
+		}
 		e.mapGuest(t, 0x400000, 0x800000, 2)
 		if _, fault := e.m.Translate(0x400000); fault != nil {
 			t.Fatal(fault)
@@ -277,7 +285,7 @@ func TestFusedWalkNestedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.m.InvalidateNested()
-		s := sampleEverything(e.m) // sampler disables the fused gate
+		s := sampleEverything(e.m)
 		_, fault := e.m.Translate(0x401000)
 		if fault == nil || fault.Kind != FaultNested {
 			t.Fatalf("fault = %v, want nested", fault)
@@ -291,7 +299,7 @@ func TestFusedWalkNestedFaults(t *testing.T) {
 // TestNestedWalkSkipClamp: a nested 2M leaf walked while the nested
 // PDE cache covers its block yields a skip level (3) past the walk's
 // last reference (index 2) — the clamp must charge exactly the leaf.
-// Exercised on both the fused path and the general (sampled) path.
+// Exercised on both the fused path and the general 2D walker.
 func TestNestedWalkSkipClamp(t *testing.T) {
 	e := newEnv(t, 16, Config{})
 	// Prime the nested PDE cache for the 2M block at gPA 0x800000 with
@@ -324,11 +332,17 @@ func TestNestedWalkSkipClamp(t *testing.T) {
 		t.Fatalf("fused 2M-block hPA = %#x, want %#x", res.HPA, want)
 	}
 
-	// General path: another page in the block with a sampler attached.
+	// General path: another page in the block, walked under Guest Direct
+	// with a segment that leaves the gVA uncovered, so nestedWalk2D's
+	// final nested translation meets the clamp in nestedTranslate. The
+	// segment write leaves the nested PWC warm.
 	if err := e.gPT.Map(0x404000, 0x802000, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
-	sampleEverything(e.m)
+	e.m.SetGuestSegment(segment.NewRegisters(0x10000000, 0x20000000, 2<<20))
+	if e.m.memoGate() {
+		t.Fatal("Guest Direct configuration still passes the fused gate")
+	}
 	res, fault = e.m.Translate(0x404010)
 	if fault != nil {
 		t.Fatal(fault)

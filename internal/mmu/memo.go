@@ -4,9 +4,13 @@ package mmu
 //
 // The memo caches, per (ASID, 4K VPN), the outcome of a fully resolved
 // L1 miss in the unsegmented virtualized configuration. Every miss in
-// that configuration takes fusedWalk2D — a straight-line specialization
-// of probeL2 + walk2D with the segment branches, interface dispatch,
-// sampler bookkeeping, and slice-based reference plumbing compiled out.
+// that configuration takes the fused path — probeL2 followed by
+// fusedWalk2D, a straight-line specialization of nestedWalk2D with the
+// segment branches, interface dispatch, and slice-based reference
+// plumbing compiled out. Observers ride along unchanged: the fused walk
+// is bracketed by the same beginWalk/endWalk observation site as every
+// other walker, so attaching a telemetry probe or a walkprof sampler
+// does not change which code runs.
 // Crucially the fused path RE-EXECUTES every modeled micro-operation
 // (L2/PWC/nested-PWC/PTE-cache probes, LRU refreshes, insertions,
 // accessed-bit stores) in exactly the per-event order, so it is stat-
@@ -80,29 +84,37 @@ func memoKey(asid uint16, vpn uint64) uint64 {
 
 // memoGate reports whether the active register configuration is the one
 // the fused path specializes: unsegmented nested paging with the PWCs
-// and nested TLB enabled, and no telemetry attached (the probe and
-// sampler hook the general walk wrappers; with either installed every
-// miss takes the general path so their observations are untouched).
+// and nested TLB enabled. Observers play no part in it — the fused walk
+// feeds the probe and sampler through endWalk like every walker.
 // updateScheme derives the scheme from these same registers, so the
 // gate passing implies scheme == schemeBaseVirtualized.
 func (m *MMU) memoGate() bool {
 	return m.virtualized && !m.flatNested &&
 		!m.segs.Guest.Enabled() && !m.segs.VMM.Enabled() &&
-		!m.cfg.DisablePWC && !m.cfg.DisableNestedTLB &&
-		m.probe == nil && m.sampler == nil
+		!m.cfg.DisablePWC && !m.cfg.DisableNestedTLB
 }
 
 // missResolve is the L1-miss entry point: the fused path when the
 // configuration is fused-eligible, the scheme's general path otherwise.
-// The memo itself is consulted inside fusedWalk2D, past the L2 probe:
-// under the exact-replay doctrine a memo hit cannot skip any modeled
-// work even on an L2 hit, so probing before the L2 would spend a cache
-// line of host traffic on misses the L2 resolves anyway.
+// The fused path is Base Virtualized's TranslateMiss with the walk
+// specialized: the same L2 probe, then fusedWalk2D under the shared
+// observation site. The memo itself is consulted inside fusedWalk2D,
+// past the L2 probe: under the exact-replay doctrine a memo hit cannot
+// skip any modeled work even on an L2 hit, so probing before the L2
+// would spend a cache line of host traffic on misses the L2 resolves
+// anyway.
 func (m *MMU) missResolve(gva uint64) (Result, *Fault) {
 	if !m.memoGate() {
 		return m.translateMiss(gva)
 	}
-	return m.fusedWalk2D(gva)
+	var cycles uint64
+	if res, hit := m.probeL2(gva, &cycles); hit {
+		return res, nil
+	}
+	o := m.beginWalk()
+	res, fault := m.fusedWalk2D(gva, cycles)
+	m.endWalk(o, gva, fault)
+	return res, fault
 }
 
 // memoLookup returns the live entry for (current ASID, vpn), or nil.
@@ -167,31 +179,15 @@ func (m *MMU) memoVerify(e *memoEntry, gva, hpa uint64) {
 	}
 }
 
-// fusedWalk2D is the straight-line miss path for the gated
-// configuration: L2 probe, guest walk with every table reference
-// nested-translated, final nested translation, classification, TLB
-// insertion. It mirrors probeL2 + walk2D/nestedWalk2D/walkGuestTable/
-// nestedTranslate line for line with the branches the gate pins
-// (segments disabled, PWCs and nested TLB enabled, probe and sampler
-// nil) removed, and uses the fixed-array walkers when the walk caches
-// are primed. Stat updates, probe orders, and insertion orders are
-// identical to the general path's.
-func (m *MMU) fusedWalk2D(gva uint64) (Result, *Fault) {
-	// probeL2, inlined (sampler nil under the gate).
-	var cycles uint64
-	if hpa, hit := m.l2.LookupGuest(gva); hit {
-		m.stats.L2Hits++
-		cycles += m.cfg.L2HitCycles
-		m.stats.WalkCycles += cycles
-		m.l1.Insert(gva, hpa, addr.Page4K)
-		return Result{HPA: hpa, Cycles: cycles, L2Hit: true}, nil
-	}
-	m.stats.L2Misses++
-	cycles += m.cfg.L2HitCycles
-
-	// walk2D wrapper (probe/sampler nil) collapses to the walk itself.
-	m.stats.Walks++
-
+// fusedWalk2D is the straight-line walk for the gated configuration:
+// guest walk with every table reference nested-translated, final nested
+// translation, classification, TLB insertion. It mirrors nestedWalk2D/
+// walkGuestTable/nestedTranslate line for line with the branches the
+// gate pins (segments disabled, PWCs and nested TLB enabled) removed,
+// and uses the fixed-array walkers when the walk caches are primed.
+// Stat updates, probe orders, and insertion orders are identical to the
+// general path's.
+func (m *MMU) fusedWalk2D(gva uint64, cycles uint64) (Result, *Fault) {
 	// Miss memo, engaged only under memoCheck: a hit is cross-checked
 	// against the replayed outcome below, a miss records it. Placed past
 	// the L2 probe so pages the L2 still covers never spend the line of

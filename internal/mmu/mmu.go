@@ -188,9 +188,9 @@ type MMU struct {
 	stats Stats
 
 	// probe, when non-nil, receives per-walk memory-reference and cycle
-	// deltas for telemetry histograms. It is single-goroutine state like
-	// the rest of the MMU; nil (the default) keeps pageWalk at one nil
-	// check of overhead.
+	// deltas for telemetry histograms (endWalk). It is single-goroutine
+	// state like the rest of the MMU; nil (the default) costs one nil
+	// check per walk.
 	probe *telemetry.WalkProbe
 
 	// sampler, when non-nil, receives a deterministic 1-in-N sample of
@@ -202,8 +202,8 @@ type MMU struct {
 	// tracks ContextSwitchASID and stays 0 for single-process cells.
 	asid uint16
 	// walkClass/walkSize carry the last completed walk's miss class and
-	// effective page size from classifyMiss/insertComposite out to the
-	// sampling point in the walk wrappers.
+	// effective page size from the walker (nativeWalk or classifyMiss,
+	// then insertComposite) out to the sampling point in endWalk.
 	walkClass walkprof.MissClass
 	walkSize  addr.PageSize
 
@@ -491,129 +491,11 @@ func (m *MMU) Translate(gva uint64) (Result, *Fault) {
 // and flush at block end (or before any slow-path entry), so Stats read
 // outside TranslateBlock are identical to per-event Translate calls —
 // this is the tight loop behind the replay engine's AccessBlock hook.
+// Probe-for-probe it is exactly per-event Translate.
 func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
-	// The batched run path decomposes the three-structure L1 probe into
-	// a 4K-run probe plus empty-structure charges, which is only exact
-	// while the 2M and 1G structures are empty. Large-page workloads
-	// (and any block during which a walk inserts a large entry — the
-	// re-check sits in the loop) take the per-event loop instead.
-	if !m.l1.Only4K() {
-		return m.translateBlockFrom(evs, out, 0)
-	}
 	var accesses, l1Hits uint64
 	lastValid, lastVBase, lastHBase := m.lastValid, m.lastVBase, m.lastHBase
-	// A probe run: consecutive events predicted to miss the last-page
-	// cache, probed against the L1 4K structure in one batched call.
-	// Miss-heavy phases keep runs at length 1 (no gathered-but-unused
-	// lookahead); each fully-hitting run doubles the next gather up to
-	// the tlb probe-run width, so hit-heavy phases pipeline their tag
-	// loads 8 wide.
-	var vpns, ppns [8]uint64
-	var idxs [8]int
-	runCap := 1
-	i := 0
-	for i < len(evs) {
-		// Gather: an event whose page equals its predecessor's resolves
-		// on the last-page cache; the others queue for the batched probe.
-		np := 0
-		prevOK, prevBase := lastValid, lastVBase
-		j := i
-		for ; j < len(evs) && np < runCap; j++ {
-			vbase := uint64(evs[j].VA) &^ (addr.PageSize4K - 1)
-			if prevOK && vbase == prevBase {
-				continue
-			}
-			vpns[np] = vbase >> addr.PageShift4K
-			idxs[np] = j
-			np++
-			prevOK, prevBase = true, vbase
-		}
-		if np == 0 {
-			// Pure last-page-cache tail.
-			for k := i; k < j; k++ {
-				accesses++
-				l1Hits++
-				if out != nil {
-					gva := uint64(evs[k].VA)
-					out[k] = Result{HPA: lastHBase + (gva - lastVBase), L1Hit: true}
-				}
-			}
-			i = j
-			continue
-		}
-		nh := m.l1.Lookup4KRun(vpns[:np], ppns[:np])
-		// Events before the first missing probe (or the whole gather
-		// when everything hit) completed; fill their results in order.
-		end, missAt := j, -1
-		if nh < np {
-			end, missAt = idxs[nh], idxs[nh]
-			runCap = 1
-		} else if runCap < len(vpns) {
-			runCap *= 2
-		}
-		p := 0
-		for k := i; k < end; k++ {
-			gva := uint64(evs[k].VA)
-			vbase := gva &^ (addr.PageSize4K - 1)
-			accesses++
-			l1Hits++
-			if p < nh && k == idxs[p] {
-				lastVBase, lastHBase = vbase, ppns[p]<<addr.PageShift4K
-				lastValid = true
-				p++
-			}
-			if out != nil {
-				out[k] = Result{HPA: lastHBase + (gva - vbase), L1Hit: true}
-			}
-		}
-		i = end
-		if missAt < 0 {
-			continue
-		}
-		// The missing event: its 4K probe was already charged inside the
-		// batched lookup; charge the (empty) 2M/1G probes and resolve.
-		gva := uint64(evs[missAt].VA)
-		vbase := gva &^ (addr.PageSize4K - 1)
-		accesses++
-		m.l1.MissLarge()
-		m.stats.Accesses += accesses
-		m.stats.L1Hits += l1Hits
-		accesses, l1Hits = 0, 0
-		m.stats.L1Misses++
-		res, fault := m.missResolve(gva)
-		if fault != nil {
-			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
-			m.bumpEpoch() // the fault will be serviced before the retry
-			return missAt, fault
-		}
-		lastValid, lastVBase, lastHBase = true, vbase, res.HPA&^(addr.PageSize4K-1)
-		if out != nil {
-			out[missAt] = res
-		}
-		i = missAt + 1
-		if !m.l1.Only4K() {
-			// The walk inserted a large-page entry: finish per-event.
-			m.stats.Accesses += accesses
-			m.stats.L1Hits += l1Hits
-			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
-			n, f := m.translateBlockFrom(evs, out, i)
-			return n, f
-		}
-	}
-	m.stats.Accesses += accesses
-	m.stats.L1Hits += l1Hits
-	m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
-	return len(evs), nil
-}
-
-// translateBlockFrom is the per-event block loop, used for the whole
-// block when large-page L1 entries exist (from > 0 resumes after the
-// batched loop handed over mid-block). Probe-for-probe it is exactly
-// per-event Translate.
-func (m *MMU) translateBlockFrom(evs []trace.Event, out []Result, from int) (int, *Fault) {
-	var accesses, l1Hits uint64
-	lastValid, lastVBase, lastHBase := m.lastValid, m.lastVBase, m.lastHBase
-	for i := from; i < len(evs); i++ {
+	for i := range evs {
 		gva := uint64(evs[i].VA)
 		accesses++
 		vbase := gva &^ (addr.PageSize4K - 1)
@@ -687,10 +569,7 @@ func (m *MMU) dualFastPath(gva uint64, cycles *uint64) (Result, bool) {
 	m.stats.WalkCycles += *cycles
 	hpa := m.segs.VMM.Translate(gpa)
 	m.l1.Insert(gva, hpa, addr.Page4K)
-	if m.sampler != nil && m.sampler.Tick() {
-		m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-			addr.Page4K, walkprof.ClassZeroD, 0, *cycles, m.asid)
-	}
+	m.sampleWalkless(gva, walkprof.ClassZeroD, *cycles)
 	return Result{HPA: hpa, Cycles: *cycles, ZeroD: true}, true
 }
 
@@ -703,10 +582,7 @@ func (m *MMU) probeL2(gva uint64, cycles *uint64) (Result, bool) {
 		*cycles += m.cfg.L2HitCycles
 		m.stats.WalkCycles += *cycles
 		m.l1.Insert(gva, hpa, addr.Page4K)
-		if m.sampler != nil && m.sampler.Tick() {
-			m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-				addr.Page4K, walkprof.ClassL2Hit, 0, *cycles, m.asid)
-		}
+		m.sampleWalkless(gva, walkprof.ClassL2Hit, *cycles)
 		return Result{HPA: hpa, Cycles: *cycles, L2Hit: true}, true
 	}
 	m.stats.L2Misses++
@@ -734,86 +610,85 @@ func (m *MMU) escapeGuest(va uint64) bool {
 	return false
 }
 
-// walk1D invokes the native 1D walk state machine, charging cycles on
-// top of the cost already accumulated. The telemetry probe and walkprof
-// sampler, when installed, observe each walk's reference and cycle
-// deltas. The sampler ticks before the walk so the 1-in-N unsampled
-// majority pays only the inlined countdown — counter snapshots and
-// argument setup happen only for selected misses (a selected walk that
-// faults refunds its tick to the next miss). The wrapper is duplicated
-// per walker (walk1D/walk2D/walkFlat) rather than taking a function
-// value, which would allocate on the hot path.
-func (m *MMU) walk1D(gva uint64, cycles uint64) (Result, *Fault) {
-	m.stats.Walks++
-	sampled := m.sampler != nil && m.sampler.Tick()
-	if m.probe == nil && !sampled {
-		return m.nativeWalk(gva, cycles)
+// sampleWalkless offers a miss resolved without a walk (a segment 0D
+// hit or an L2 hit) to the walkprof sampler: 4K grain, no references.
+func (m *MMU) sampleWalkless(gva uint64, class walkprof.MissClass, cycles uint64) {
+	if m.sampler != nil && m.sampler.Tick() {
+		m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
+			addr.Page4K, class, 0, cycles, m.asid)
 	}
-	refs0, cyc0 := m.stats.WalkMemRefs, m.stats.WalkCycles
-	res, fault := m.nativeWalk(gva, cycles)
-	drefs, dcyc := m.stats.WalkMemRefs-refs0, m.stats.WalkCycles-cyc0
+}
+
+// walkObs is one in-flight walk's observation state: whether the
+// sampler selected it, and the counter values its reference and cycle
+// deltas are taken against.
+type walkObs struct {
+	sampled     bool
+	refs0, cyc0 uint64
+}
+
+// beginWalk counts a walk invocation and ticks the sampler before the
+// walk runs, so the 1-in-N unsampled majority pays only the inlined
+// countdown (a selected walk that faults refunds its tick in endWalk).
+func (m *MMU) beginWalk() walkObs {
+	m.stats.Walks++
+	return walkObs{
+		sampled: m.sampler != nil && m.sampler.Tick(),
+		refs0:   m.stats.WalkMemRefs,
+		cyc0:    m.stats.WalkCycles,
+	}
+}
+
+// endWalk is the one observation site of every page walk — native,
+// 2D, flat and fused alike. The telemetry probe sees the walk's
+// reference and cycle deltas, faulting or not; a sampled walk records
+// the class and size the walker left in walkClass/walkSize, or refunds
+// its tick when it faulted (the retry after service is what gets
+// sampled). The walkers stay direct calls at their wrappers rather
+// than a function value passed in here, which would allocate on the
+// hot path.
+func (m *MMU) endWalk(o walkObs, gva uint64, fault *Fault) {
+	if m.probe == nil && !o.sampled {
+		return
+	}
+	drefs, dcyc := m.stats.WalkMemRefs-o.refs0, m.stats.WalkCycles-o.cyc0
 	if m.probe != nil {
 		m.probe.Refs.Observe(drefs)
 		m.probe.Cycles.Observe(dcyc)
 	}
-	if sampled {
-		if fault != nil {
-			m.sampler.Refund()
-		} else {
-			m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-				m.walkSize, walkprof.ClassWalk1D, drefs, dcyc, m.asid)
-		}
+	if !o.sampled {
+		return
 	}
+	if fault != nil {
+		m.sampler.Refund()
+		return
+	}
+	m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
+		m.walkSize, m.walkClass, drefs, dcyc, m.asid)
+}
+
+// walk1D invokes the native 1D walk state machine, charging cycles on
+// top of the cost already accumulated.
+func (m *MMU) walk1D(gva uint64, cycles uint64) (Result, *Fault) {
+	o := m.beginWalk()
+	res, fault := m.nativeWalk(gva, cycles)
+	m.endWalk(o, gva, fault)
 	return res, fault
 }
 
 // walk2D invokes the 2D walk state machine of Figure 5(b).
 func (m *MMU) walk2D(gva uint64, cycles uint64) (Result, *Fault) {
-	m.stats.Walks++
-	sampled := m.sampler != nil && m.sampler.Tick()
-	if m.probe == nil && !sampled {
-		return m.nestedWalk2D(gva, cycles)
-	}
-	refs0, cyc0 := m.stats.WalkMemRefs, m.stats.WalkCycles
+	o := m.beginWalk()
 	res, fault := m.nestedWalk2D(gva, cycles)
-	drefs, dcyc := m.stats.WalkMemRefs-refs0, m.stats.WalkCycles-cyc0
-	if m.probe != nil {
-		m.probe.Refs.Observe(drefs)
-		m.probe.Cycles.Observe(dcyc)
-	}
-	if sampled {
-		if fault != nil {
-			m.sampler.Refund()
-		} else {
-			m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-				m.walkSize, m.walkClass, drefs, dcyc, m.asid)
-		}
-	}
+	m.endWalk(o, gva, fault)
 	return res, fault
 }
 
 // walkFlat invokes the flattened 2D walk (scheme_flat.go).
 func (m *MMU) walkFlat(gva uint64, cycles uint64) (Result, *Fault) {
-	m.stats.Walks++
-	sampled := m.sampler != nil && m.sampler.Tick()
-	if m.probe == nil && !sampled {
-		return m.flatWalk2D(gva, cycles)
-	}
-	refs0, cyc0 := m.stats.WalkMemRefs, m.stats.WalkCycles
+	o := m.beginWalk()
 	res, fault := m.flatWalk2D(gva, cycles)
-	drefs, dcyc := m.stats.WalkMemRefs-refs0, m.stats.WalkCycles-cyc0
-	if m.probe != nil {
-		m.probe.Refs.Observe(drefs)
-		m.probe.Cycles.Observe(dcyc)
-	}
-	if sampled {
-		if fault != nil {
-			m.sampler.Refund()
-		} else {
-			m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-				m.walkSize, m.walkClass, drefs, dcyc, m.asid)
-		}
-	}
+	m.endWalk(o, gva, fault)
 	return res, fault
 }
 
@@ -827,6 +702,7 @@ func (m *MMU) nativeWalk(va uint64, cycles uint64) (Result, *Fault) {
 		return Result{}, &Fault{Kind: FaultGuest, Addr: va}
 	}
 	m.stats.WalkCycles += cycles
+	m.walkClass = walkprof.ClassWalk1D
 	m.insertComposite(va, pa, size, size)
 	return Result{HPA: pa, Cycles: cycles}, nil
 }

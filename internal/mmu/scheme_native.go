@@ -67,10 +67,7 @@ func (directSegmentScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 		pa := m.segs.Guest.Translate(gva)
 		m.l1.Insert(gva, pa, addr.Page4K)
 		m.l2.InsertGuest(gva, pa)
-		if m.sampler != nil && m.sampler.Tick() {
-			m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-				addr.Page4K, walkprof.ClassZeroD, 0, cycles, m.asid)
-		}
+		m.sampleWalkless(gva, walkprof.ClassZeroD, cycles)
 		return Result{HPA: pa, Cycles: cycles, ZeroD: true}, nil
 	}
 	return m.walk1D(gva, cycles)

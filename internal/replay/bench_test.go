@@ -95,8 +95,8 @@ func BenchmarkCellPerEvent(b *testing.B) {
 // The telemetry overhead pair: the same bare-engine workload with
 // telemetry inactive (the default — the engine's meter pointer stays
 // nil, so the only cost is one nil check per ~4K-event block) and with
-// a run active (one atomic add per block). Enabled must stay within 2%
-// of disabled; EXPERIMENTS.md records the committed numbers.
+// a run active (one atomic add per block). EXPERIMENTS.md records the
+// measured numbers; no gate reads this pair.
 func BenchmarkTelemetryOverheadOff(b *testing.B) {
 	if telemetry.Active() {
 		b.Fatal("telemetry unexpectedly active")
@@ -112,7 +112,8 @@ func BenchmarkTelemetryOverheadOn(b *testing.B) {
 
 // The same comparison with a full simulation cell in the loop: with
 // telemetry on, every page walk feeds the cell's WalkProbe shards and
-// each completed cell merges them into the shared registry.
+// each completed cell merges them into the shared registry. On must
+// stay within 3% of Off; scripts/overheadgate.sh enforces the pair.
 func BenchmarkTelemetryCellOff(b *testing.B) {
 	if telemetry.Active() {
 		b.Fatal("telemetry unexpectedly active")
@@ -131,8 +132,8 @@ func BenchmarkTelemetryCellOn(b *testing.B) {
 // The walk-sampling pair: the same full cell with sampling off (the
 // default — a nil sampler pointer, one nil check per TLB miss) and
 // with 1-in-64 stride sampling recording per-walk samples. Sampled
-// must stay within 2% of unsampled; benchgate.sh enforces the pair
-// like the rest of the telemetry overhead suite.
+// must stay within 3% of unsampled; scripts/overheadgate.sh enforces
+// the pair.
 func BenchmarkTelemetryOverheadSampledOff(b *testing.B) {
 	if walkprof.Enabled() != nil {
 		b.Fatal("walk sampling unexpectedly active")

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"unicode/utf8"
 
 	"vdirect/internal/addr"
 )
@@ -42,33 +44,69 @@ type fileRecord struct {
 }
 
 // Write encodes the dump to w: the header line, then one JSON line per
-// sample. Output is byte-deterministic (struct field order is fixed and
-// the dump is already canonically ordered).
+// sample. Output is byte-deterministic (field order is fixed and the
+// dump is already canonically ordered) and byte-identical to
+// encoding/json's encoding of fileHeader and fileRecord, which Read
+// decodes. Records are appended with strconv rather than reflected
+// through json.Encoder, and each cell's shared prefix is built once,
+// not once per sample: a sample file holds one line per sampled miss.
 func Write(w io.Writer, d Dump) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(fileHeader{Format: FileFormat, SchemaVersion: SchemaVersion, Period: d.Period}); err != nil {
-		return fmt.Errorf("walkprof: encoding header: %w", err)
-	}
+	b := append([]byte(`{"format":`), appendJSONString(nil, FileFormat)...)
+	b = append(b, `,"schema_version":`...)
+	b = strconv.AppendInt(b, SchemaVersion, 10)
+	b = append(b, `,"period":`...)
+	b = strconv.AppendUint(b, d.Period, 10)
+	b = append(b, "}\n"...)
+	// A bufio.Writer's error is sticky: a failed header write resurfaces
+	// on the first sample write or on Flush.
+	_, _ = bw.Write(b)
 	for _, c := range d.Cells {
+		prefix := appendJSONString([]byte(`{"cell":`), c.Cell)
+		prefix = append(prefix, `,"tenant":`...)
+		prefix = strconv.AppendInt(prefix, int64(c.Tenant), 10)
+		prefix = append(prefix, `,"scheme":`...)
 		for _, s := range c.Samples {
-			rec := fileRecord{
-				Cell:   c.Cell,
-				Tenant: c.Tenant,
-				Scheme: s.Scheme,
-				Class:  s.Class.String(),
-				VPN:    s.VPN,
-				Size:   s.Size.String(),
-				Refs:   s.Refs,
-				Cycles: s.Cycles,
-				ASID:   s.ASID,
-			}
-			if err := enc.Encode(rec); err != nil {
-				return fmt.Errorf("walkprof: encoding sample: %w", err)
+			b = appendJSONString(append(b[:0], prefix...), s.Scheme)
+			b = append(b, `,"class":`...)
+			b = appendJSONString(b, s.Class.String())
+			b = append(b, `,"vpn":`...)
+			b = strconv.AppendUint(b, s.VPN, 10)
+			b = append(b, `,"size":`...)
+			b = appendJSONString(b, s.Size.String())
+			b = append(b, `,"refs":`...)
+			b = strconv.AppendUint(b, s.Refs, 10)
+			b = append(b, `,"cycles":`...)
+			b = strconv.AppendUint(b, s.Cycles, 10)
+			b = append(b, `,"asid":`...)
+			b = strconv.AppendUint(b, uint64(s.ASID), 10)
+			b = append(b, "}\n"...)
+			if _, err := bw.Write(b); err != nil {
+				return fmt.Errorf("walkprof: writing sample: %w", err)
 			}
 		}
 	}
-	return bw.Flush()
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("walkprof: writing samples: %w", err)
+	}
+	return nil
+}
+
+// appendJSONString appends s as a JSON string exactly as encoding/json
+// encodes it. Cell, scheme, class and size names are plain printable
+// ASCII, which needs only the quotes; any byte encoding/json would
+// escape (quotes, backslashes, controls, HTML-sensitive characters,
+// non-ASCII) sends the string through encoding/json itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // WriteFile writes the dump to path.

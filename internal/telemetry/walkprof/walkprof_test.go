@@ -2,6 +2,8 @@ package walkprof
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -208,6 +210,96 @@ func TestFileRoundtrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("Write is not byte-deterministic")
+	}
+}
+
+// encodeReference is the reflective encoding Write must reproduce byte
+// for byte: json.Encoder over the header and record structs Read
+// decodes.
+func encodeReference(t *testing.T, d Dump) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(fileHeader{Format: FileFormat, SchemaVersion: SchemaVersion, Period: d.Period}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range d.Cells {
+		for _, s := range c.Samples {
+			rec := fileRecord{
+				Cell: c.Cell, Tenant: c.Tenant, Scheme: s.Scheme, Class: s.Class.String(),
+				VPN: s.VPN, Size: s.Size.String(), Refs: s.Refs, Cycles: s.Cycles, ASID: s.ASID,
+			}
+			if err := enc.Encode(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestWriteMatchesJSONEncoder pins Write's hand-rolled encoding to
+// encoding/json's, including names that need escaping (quotes,
+// backslashes, controls, HTML-sensitive characters, non-ASCII, invalid
+// UTF-8, U+2028), extreme numbers, negative tenants and out-of-range
+// class and size values, and checks every such file reads back.
+func TestWriteMatchesJSONEncoder(t *testing.T) {
+	names := []string{
+		"gups/4K+4K", "", `q"uote`, `back\slash`, "tab\tnl\n\x01\x7f",
+		"<html>&amp;", "héllo", "bad\xffutf8", "line\u2028sep", "emoji😀",
+	}
+	var d Dump
+	d.Period = 1<<64 - 1
+	for i, name := range names {
+		c := CellDump{Cell: name, Tenant: i - 3}
+		for j, scheme := range names {
+			c.Samples = append(c.Samples, Sample{
+				VPN:    uint64(j) << 40,
+				Size:   []addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G}[j%3],
+				Class:  MissClass(j % len(classNames)),
+				Scheme: scheme,
+				Refs:   uint64(j),
+				Cycles: 1<<64 - 1 - uint64(j),
+				ASID:   uint16(65535 - j),
+			})
+		}
+		d.Cells = append(d.Cells, c)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	if want := encodeReference(t, d); !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Write diverges from encoding/json:\ngot:  %q\nwant: %q", buf.Bytes(), want)
+	}
+	if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("escaped file does not read back: %v", err)
+	}
+
+	// Values Read rejects must still encode like encoding/json.
+	odd := Dump{Period: 3, Cells: []CellDump{{Cell: "c", Samples: []Sample{
+		{Size: addr.PageSize(9), Class: MissClass(200), Scheme: "s"},
+	}}}}
+	buf.Reset()
+	if err := Write(&buf, odd); err != nil {
+		t.Fatal(err)
+	}
+	if want := encodeReference(t, odd); !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("out-of-range values: got %q, want %q", buf.Bytes(), want)
+	}
+}
+
+// errWriter fails every write, to exercise Write's error exits.
+type errWriter struct{}
+
+func (errWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+func TestWriteReportsWriterErrors(t *testing.T) {
+	big := Dump{Period: 1, Cells: []CellDump{{Cell: "c"}}}
+	for i := 0; i < 4096; i++ {
+		big.Cells[0].Samples = append(big.Cells[0].Samples, Sample{Scheme: "Base", VPN: uint64(i)})
+	}
+	if err := Write(errWriter{}, big); err == nil {
+		t.Fatal("Write swallowed a writer error")
 	}
 }
 

@@ -199,89 +199,6 @@ func (c *SetAssoc) Lookup(kind EntryKind, vpn uint64) (ppn uint64, hit bool) {
 	return 0, false
 }
 
-// probeRun is the batched-probe chunk size: set indices and packed tag
-// keys are precomputed for runs of this many probes before any tag
-// word is compared, so the loads overlap instead of serializing behind
-// each probe's hit/miss branch.
-const probeRun = 8
-
-// LookupRun probes a run of guest-kind VPNs in order under the current
-// ASID, filling ppns[k] with the k-th probe's target on a hit, and
-// stops at the first miss. It returns the number of leading hits.
-// Counter and LRU evolution is exactly per-probe Lookup's — including
-// the first missing probe when the return value is < len(vpns), whose
-// lookup/clock charge has then already been taken, so the caller must
-// not re-probe that VPN. Geometries other than the shipped 4-way fall
-// back to per-probe Lookup (identical semantics, no pipelining).
-func (c *SetAssoc) LookupRun(vpns, ppns []uint64) int {
-	if c.ways != 4 {
-		for i, vpn := range vpns {
-			ppn, hit := c.Lookup(KindGuest, vpn)
-			if !hit {
-				return i
-			}
-			ppns[i] = ppn
-		}
-		return len(vpns)
-	}
-	n := 0
-	for n < len(vpns) {
-		run := len(vpns) - n
-		if run > probeRun {
-			run = probeRun
-		}
-		var keys [probeRun]uint64
-		var bases [probeRun]int32
-		var first [probeRun]uint64
-		chunk := vpns[n : n+run]
-		if c.occupied == 0 {
-			// Empty structure: the first probe misses without a scan,
-			// charging its counters exactly as Lookup's early-miss does.
-			c.lookups++
-			c.clock++
-			return n
-		}
-		for i, vpn := range chunk {
-			k := tagValid | uint64(c.curASID)<<asidShift | vpn
-			if vpn >= vpnMax {
-				k = 0 // no stored tag can match: a guaranteed miss
-			}
-			b := c.base(vpn)
-			keys[i] = k
-			bases[i] = int32(b)
-			first[i] = c.slots[b] // overlap the runs' tag-line loads
-		}
-		for i := 0; i < run; i++ {
-			c.lookups++
-			c.clock++
-			k := keys[i]
-			if k == 0 {
-				return n // out-of-range VPN: missed by construction
-			}
-			b := int(bases[i])
-			t := c.slots[b : b+12 : b+12]
-			j := -1
-			if first[i] == k {
-				j = 0
-			} else if t[1] == k {
-				j = 1
-			} else if t[2] == k {
-				j = 2
-			} else if t[3] == k {
-				j = 3
-			}
-			if j < 0 {
-				return n
-			}
-			t[8+j] = c.clock
-			c.hits++
-			ppns[n] = t[4+j]
-			n++
-		}
-	}
-	return n
-}
-
 // SetASID changes the address-space identifier tagging guest entries.
 func (c *SetAssoc) SetASID(a uint16) { c.curASID = a }
 
@@ -470,17 +387,6 @@ func NewL1(g Geometry) *L1 {
 	}
 }
 
-func (l *L1) structFor(s addr.PageSize) *SetAssoc {
-	switch s {
-	case addr.Page4K:
-		return l.by4K
-	case addr.Page2M:
-		return l.by2M
-	default:
-		return l.by1G
-	}
-}
-
 // Lookup probes all three size structures in parallel, as hardware does.
 // The probes are unrolled — this is the hottest lookup in the simulator
 // and must not allocate or dispatch per size.
@@ -508,29 +414,6 @@ func (l *L1) Lookup(va uint64) (pa uint64, size addr.PageSize, hit bool) {
 	return 0, 0, false
 }
 
-// Only4K reports whether the 2M and 1G structures are empty, meaning a
-// probe decomposes into a 4K probe plus two empty-structure charges
-// (see MissLarge) and the batched 4K run path is exact.
-func (l *L1) Only4K() bool { return l.by2M.occupied == 0 && l.by1G.occupied == 0 }
-
-// Lookup4KRun batch-probes the 4K structure for a run of 4K VPNs under
-// the current ASID; see SetAssoc.LookupRun for the stop-at-first-miss
-// contract. Valid only while Only4K() holds — a 4K hit never touches
-// the 2M/1G structures, so a run of 4K hits is probe-for-probe
-// identical to per-event Lookup calls.
-func (l *L1) Lookup4KRun(vpns, ppns []uint64) int { return l.by4K.LookupRun(vpns, ppns) }
-
-// MissLarge charges the empty 2M and 1G structures' probes for one
-// event whose batched 4K probe missed — the same bump-and-scan-nothing
-// accounting Lookup inlines, in the same probe order. Caller must have
-// checked Only4K.
-func (l *L1) MissLarge() {
-	l.by2M.lookups++
-	l.by2M.clock++
-	l.by1G.lookups++
-	l.by1G.clock++
-}
-
 // Insert caches a completed translation at its page size.
 func (l *L1) Insert(va, pa uint64, s addr.PageSize) {
 	if s == addr.Page4K {
@@ -539,7 +422,11 @@ func (l *L1) Insert(va, pa uint64, s addr.PageSize) {
 		l.by4K.insert(KindGuest, va>>addr.PageShift4K, pa>>addr.PageShift4K)
 		return
 	}
-	l.structFor(s).insert(KindGuest, addr.PageNumber(va, s), addr.PageNumber(pa, s))
+	c := l.by1G
+	if s == addr.Page2M {
+		c = l.by2M
+	}
+	c.insert(KindGuest, addr.PageNumber(va, s), addr.PageNumber(pa, s))
 }
 
 // Flush empties the L1 (guest context switch without PCID).
