@@ -55,7 +55,9 @@ func TestSchemeNames(t *testing.T) {
 // schemeFixture programs a fresh environment into one scheme and names
 // the probe addresses the conformance checks drive through it.
 type schemeFixture struct {
-	build func(t *testing.T) *env
+	// build programs the scheme on an env with the given hardware
+	// configuration (the conformance suite passes coldConfig).
+	build func(t *testing.T, cfg Config) *env
 	// uncovered is a gVA mapped 4K by the guest page table, outside any
 	// guest segment — it exercises the scheme's walk machine.
 	uncovered uint64
@@ -73,8 +75,8 @@ type schemeFixture struct {
 // newly registered scheme has no fixture here.
 var conformanceFixtures = map[Mode]schemeFixture{
 	ModeNative: {
-		build: func(t *testing.T) *env {
-			e := newEnv(t, 16, coldConfig())
+		build: func(t *testing.T, cfg Config) *env {
+			e := newEnv(t, 16, cfg)
 			e.m.SetNestedPageTable(nil)
 			e.mapGuest(t, 0x400000, 0x800000, 4)
 			return e
@@ -83,8 +85,8 @@ var conformanceFixtures = map[Mode]schemeFixture{
 		faultVA:   0xA00000,
 	},
 	ModeDirectSegment: {
-		build: func(t *testing.T) *env {
-			e := newEnv(t, 16, coldConfig())
+		build: func(t *testing.T, cfg Config) *env {
+			e := newEnv(t, 16, cfg)
 			e.m.SetNestedPageTable(nil)
 			e.m.SetGuestSegment(segment.NewRegisters(0x400000, 0x800000, 2<<20))
 			e.mapGuest(t, 0x900000, 0x880000, 4)
@@ -95,8 +97,8 @@ var conformanceFixtures = map[Mode]schemeFixture{
 		faultVA:   0xA00000,
 	},
 	ModeBaseVirtualized: {
-		build: func(t *testing.T) *env {
-			e := newEnv(t, 16, coldConfig())
+		build: func(t *testing.T, cfg Config) *env {
+			e := newEnv(t, 16, cfg)
 			e.mapGuest(t, 0x400000, 0x800000, 4)
 			return e
 		},
@@ -104,8 +106,8 @@ var conformanceFixtures = map[Mode]schemeFixture{
 		faultVA:   0xA00000,
 	},
 	ModeDualDirect: {
-		build: func(t *testing.T) *env {
-			e := newEnv(t, 16, coldConfig())
+		build: func(t *testing.T, cfg Config) *env {
+			e := newEnv(t, 16, cfg)
 			e.m.SetGuestSegment(segment.NewRegisters(0x400000, 0x800000, 2<<20))
 			e.m.SetVMMSegment(segment.NewRegisters(0, e.hostBase, e.guestSize))
 			e.mapGuest(t, 0x900000, 0x880000, 4)
@@ -117,8 +119,8 @@ var conformanceFixtures = map[Mode]schemeFixture{
 		faultVA:   0xA00000,
 	},
 	ModeVMMDirect: {
-		build: func(t *testing.T) *env {
-			e := newEnv(t, 16, coldConfig())
+		build: func(t *testing.T, cfg Config) *env {
+			e := newEnv(t, 16, cfg)
 			e.m.SetVMMSegment(segment.NewRegisters(0, e.hostBase, e.guestSize))
 			e.mapGuest(t, 0x400000, 0x800000, 4)
 			return e
@@ -128,8 +130,8 @@ var conformanceFixtures = map[Mode]schemeFixture{
 		faultVA:   0xA00000,
 	},
 	ModeGuestDirect: {
-		build: func(t *testing.T) *env {
-			e := newEnv(t, 16, coldConfig())
+		build: func(t *testing.T, cfg Config) *env {
+			e := newEnv(t, 16, cfg)
 			e.m.SetGuestSegment(segment.NewRegisters(0x400000, 0x800000, 2<<20))
 			e.mapGuest(t, 0x900000, 0x880000, 4)
 			return e
@@ -139,8 +141,8 @@ var conformanceFixtures = map[Mode]schemeFixture{
 		faultVA:   0xA00000,
 	},
 	ModeFlatNested: {
-		build: func(t *testing.T) *env {
-			e := newEnv(t, 16, coldConfig())
+		build: func(t *testing.T, cfg Config) *env {
+			e := newEnv(t, 16, cfg)
 			e.m.SetFlatNested(true)
 			e.mapGuest(t, 0x400000, 0x800000, 4)
 			return e
@@ -177,7 +179,7 @@ func TestSchemeConformance(t *testing.T) {
 }
 
 func checkSchemeIdentity(t *testing.T, s Scheme, fx schemeFixture) {
-	e := fx.build(t)
+	e := fx.build(t, coldConfig())
 	if e.m.Mode() != s.Name() {
 		t.Fatalf("fixture selects mode %v, want %v", e.m.Mode(), s.Name())
 	}
@@ -207,7 +209,7 @@ func checkSchemeIdentity(t *testing.T, s Scheme, fx schemeFixture) {
 // configuration — the same numbers internal/oracle pins per walk.
 func checkSchemeCost(t *testing.T, s Scheme, fx schemeFixture) {
 	probe := func(va uint64, covered bool) {
-		e := fx.build(t)
+		e := fx.build(t, coldConfig())
 		in := CostInput{
 			GuestLevels:     4,
 			NestedLevels:    4,
@@ -239,7 +241,7 @@ func checkSchemeCost(t *testing.T, s Scheme, fx schemeFixture) {
 // scheme to the global stat identities, bounding walk references by
 // the scheme's own worst-case cost entry.
 func checkSchemeStats(t *testing.T, s Scheme, fx schemeFixture) {
-	e := fx.build(t)
+	e := fx.build(t, coldConfig())
 	vas := []uint64{fx.uncovered, fx.uncovered, fx.uncovered + 0x1000, fx.uncovered}
 	if fx.covered != 0 {
 		vas = append(vas, fx.covered, fx.covered+0x2000, fx.covered)
@@ -281,7 +283,7 @@ func checkSchemeStats(t *testing.T, s Scheme, fx schemeFixture) {
 // value is the faulting event's index, the faulting access is counted,
 // and the block resumes from that index after the fault is serviced.
 func checkSchemeFaultIndex(t *testing.T, fx schemeFixture) {
-	e := fx.build(t)
+	e := fx.build(t, coldConfig())
 	vas := []uint64{fx.uncovered, fx.uncovered + 0x1000, fx.faultVA, fx.uncovered}
 	evs := make([]trace.Event, len(vas))
 	for i, va := range vas {
@@ -317,7 +319,7 @@ func checkSchemeASID(t *testing.T, s Scheme, fx schemeFixture) {
 	if !s.Keys().GuestASIDTagged {
 		t.Skip("scheme does not tag guest entries")
 	}
-	e := fx.build(t)
+	e := fx.build(t, coldConfig())
 	seg := e.m.GuestSegment()
 	e.m.ContextSwitchASID(e.gPT, seg, 1)
 	if _, fault := e.m.Translate(fx.uncovered); fault != nil {
