@@ -120,8 +120,8 @@ func (f *Filter) Inserts() int { return f.inserts }
 
 // Gen returns a monotonic mutation counter: any operation that can
 // change a future MayContain answer (Insert, Clear, LoadBits) bumps
-// it. Consumers that cache decisions derived from filter probes (the
-// MMU's miss memo) compare generations to detect mutation.
+// it. Consumers that cache decisions derived from filter probes
+// compare generations to detect mutation.
 func (f *Filter) Gen() uint64 { return f.gen }
 
 // Bits serializes the filter contents (context save).

@@ -2,9 +2,9 @@ package escape
 
 import "testing"
 
-// TestGenTracksMutations pins the mutation counter the MMU's miss memo
-// keys on: every operation that can change a future MayContain answer
-// bumps Gen, and read-only operations leave it alone.
+// TestGenTracksMutations pins the mutation counter: every operation
+// that can change a future MayContain answer bumps Gen, and read-only
+// operations leave it alone.
 func TestGenTracksMutations(t *testing.T) {
 	f := New(7)
 	g0 := f.Gen()

@@ -9,9 +9,9 @@ import (
 )
 
 // Edge paths of the block loop and the miss paths: mixed page sizes,
-// pure last-page tails, mid-walk nested faults on the fused and the
-// general 2D walker, the memo oracle's invalidation and verification
-// machinery, and the per-scheme L2-hit fast exits.
+// pure last-page tails, mid-walk nested faults with the guest walk
+// cache warm and cold, the nested skip clamp, and the per-scheme L2-hit
+// fast exits.
 
 // TestTranslateBlockLargePageHandover drives a native cell whose guest
 // table mixes 4K and 2M leaves through TranslateBlock and checks it
@@ -58,7 +58,6 @@ func TestTranslateBlockLargePageHandover(t *testing.T) {
 			if err := per.gPT.Map(fault.Addr&^(addr.PageSize4K-1), 0xC00000, addr.Page4K); err != nil {
 				t.Fatal(err)
 			}
-			per.m.bumpEpoch()
 		}
 	}
 
@@ -74,7 +73,6 @@ func TestTranslateBlockLargePageHandover(t *testing.T) {
 		if err := blk.gPT.Map(fault.Addr&^(addr.PageSize4K-1), 0xC00000, addr.Page4K); err != nil {
 			t.Fatal(err)
 		}
-		blk.m.bumpEpoch()
 	}
 	for i := range outBlk {
 		if outBlk[i].HPA != outPer[i].HPA || outBlk[i].L1Hit != outPer[i].L1Hit {
@@ -216,8 +214,10 @@ func TestSampledWalkFaultRefund(t *testing.T) {
 }
 
 // TestFusedWalkNestedFaults drives the two nested-fault exits of the
-// fused miss path: the final gPA missing from the nested table, and a
-// guest-table reference whose nested mapping the VMM pulled.
+// 2D walk: the final gPA missing from the nested table, and a guest-
+// table reference whose nested mapping the VMM pulled — reached through
+// the guest walk-cache fast path (table-ref) and through the WalkFrom
+// fallback of a cold walk cache (table-ref-general).
 func TestFusedWalkNestedFaults(t *testing.T) {
 	t.Run("final-gpa", func(t *testing.T) {
 		e := newEnv(t, 16, Config{})
@@ -244,7 +244,7 @@ func TestFusedWalkNestedFaults(t *testing.T) {
 		// invalidate nested state as a real VMM unmap would. The walk
 		// cache precheck still succeeds (the guest table is intact), so
 		// the fault surfaces inside the fast-path reference loop.
-		_, _, refs, ok := e.gPT.Walk(0x401000, nil)
+		_, _, refs, ok := e.gPT.WalkFrom(0x401000, 0, nil)
 		if !ok || len(refs) == 0 {
 			t.Fatal("guest walk failed")
 		}
@@ -262,25 +262,18 @@ func TestFusedWalkNestedFaults(t *testing.T) {
 		}
 	})
 	t.Run("table-ref-general", func(t *testing.T) {
-		// Same unmapped-node fault through the general 2D walker: Guest
-		// Direct with a segment that leaves the accessed gVAs uncovered
-		// walks the guest table in nestedWalk2D, reaching
-		// walkGuestTableSkip's nested loop and its fault exit. A period-1
-		// sampler checks that the faulting walk refunds its tick.
+		// Same unmapped-node fault with the guest walk cache cold: the
+		// node is found by walking an unmapped sibling (an absent leaf
+		// fills no walk-cache entry), so the walk takes the WalkFrom
+		// fallback and faults in its nested loop. A period-1 sampler
+		// checks that the faulting walk refunds its tick.
 		e := newEnv(t, 16, Config{})
-		e.m.SetGuestSegment(segment.NewRegisters(0x10000000, 0x20000000, 2<<20))
-		if e.m.Mode() != ModeGuestDirect {
-			t.Fatalf("mode = %v, want %v", e.m.Mode(), ModeGuestDirect)
-		}
 		e.mapGuest(t, 0x400000, 0x800000, 2)
-		if _, fault := e.m.Translate(0x400000); fault != nil {
-			t.Fatal(fault)
+		_, _, refs, ok := e.gPT.WalkFrom(0x4A0000, 0, nil)
+		if ok || len(refs) != 4 {
+			t.Fatalf("sibling walk: ok=%v refs=%d, want an absent 4K leaf", ok, len(refs))
 		}
-		_, _, refs, ok := e.gPT.Walk(0x401000, nil)
-		if !ok || len(refs) == 0 {
-			t.Fatal("guest walk failed")
-		}
-		node := refs[len(refs)-1].Addr &^ (addr.PageSize4K - 1)
+		node := refs[3].Addr &^ (addr.PageSize4K - 1)
 		if err := e.nPT.Unmap(node, addr.Page4K); err != nil {
 			t.Fatal(err)
 		}
@@ -289,6 +282,9 @@ func TestFusedWalkNestedFaults(t *testing.T) {
 		_, fault := e.m.Translate(0x401000)
 		if fault == nil || fault.Kind != FaultNested {
 			t.Fatalf("fault = %v, want nested", fault)
+		}
+		if fault.Addr&^(addr.PageSize4K-1) != node {
+			t.Fatalf("fault addr %#x not in unmapped node page %#x", fault.Addr, node)
 		}
 		if s.Len() != 0 {
 			t.Fatalf("faulting 2D walk recorded %d samples", s.Len())
@@ -299,7 +295,7 @@ func TestFusedWalkNestedFaults(t *testing.T) {
 // TestNestedWalkSkipClamp: a nested 2M leaf walked while the nested
 // PDE cache covers its block yields a skip level (3) past the walk's
 // last reference (index 2) — the clamp must charge exactly the leaf.
-// Exercised on both the fused path and the general 2D walker.
+// Two pages of the block are walked, each missing the nested TLB.
 func TestNestedWalkSkipClamp(t *testing.T) {
 	e := newEnv(t, 16, Config{})
 	// Prime the nested PDE cache for the 2M block at gPA 0x800000 with
@@ -320,85 +316,23 @@ func TestNestedWalkSkipClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fused path: a fresh gVA whose gPA sits in the repacked block.
-	if err := e.gPT.Map(0x402000, 0x801000, addr.Page4K); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ gva, gpa, hpa uint64 }{
+		{0x402008, 0x801000, 0x40000000 + 0x1008},
+		{0x404010, 0x802000, 0x40000000 + 0x2010},
+	} {
+		if err := e.gPT.Map(c.gva&^(addr.PageSize4K-1), c.gpa, addr.Page4K); err != nil {
+			t.Fatal(err)
+		}
+		st0 := e.m.Stats()
+		res, fault := e.m.Translate(c.gva)
+		if fault != nil {
+			t.Fatal(fault)
+		}
+		if res.HPA != c.hpa {
+			t.Fatalf("2M-block hPA for %#x = %#x, want %#x", c.gva, res.HPA, c.hpa)
+		}
+		if st := e.m.Stats(); st.NestedWalks == st0.NestedWalks {
+			t.Fatalf("gva %#x walked no nested table", c.gva)
+		}
 	}
-	res, fault := e.m.Translate(0x402008)
-	if fault != nil {
-		t.Fatal(fault)
-	}
-	if want := uint64(0x40000000 + 0x1008); res.HPA != want {
-		t.Fatalf("fused 2M-block hPA = %#x, want %#x", res.HPA, want)
-	}
-
-	// General path: another page in the block, walked under Guest Direct
-	// with a segment that leaves the gVA uncovered, so nestedWalk2D's
-	// final nested translation meets the clamp in nestedTranslate. The
-	// segment write leaves the nested PWC warm.
-	if err := e.gPT.Map(0x404000, 0x802000, addr.Page4K); err != nil {
-		t.Fatal(err)
-	}
-	e.m.SetGuestSegment(segment.NewRegisters(0x10000000, 0x20000000, 2<<20))
-	if e.m.memoGate() {
-		t.Fatal("Guest Direct configuration still passes the fused gate")
-	}
-	res, fault = e.m.Translate(0x404010)
-	if fault != nil {
-		t.Fatal(fault)
-	}
-	if want := uint64(0x40000000 + 0x2010); res.HPA != want {
-		t.Fatalf("general 2M-block hPA = %#x, want %#x", res.HPA, want)
-	}
-}
-
-// TestMemoEscapeGenDrift: a direct escape-filter mutation (the OS/VMM
-// writes filters without an MMU call) must age out the whole memo on
-// the next probe — the drifted generation forces a miss even for a
-// page recorded in the same epoch regime.
-func TestMemoEscapeGenDrift(t *testing.T) {
-	e := newEnv(t, 16, Config{})
-	e.m.SetMemoCheck(true)
-	e.mapGuest(t, 0x400000, 0x800000, 1)
-	if _, fault := e.m.Translate(0x400000); fault != nil {
-		t.Fatal(fault)
-	}
-	if hits, misses := e.m.MemoStats(); hits != 0 || misses != 1 {
-		t.Fatalf("after first miss: memo %d/%d", hits, misses)
-	}
-	e.m.GuestEscapeFilter().Insert(0x123)
-	e.m.FlushTLBs()
-	if _, fault := e.m.Translate(0x400000); fault != nil {
-		t.Fatal(fault)
-	}
-	if hits, misses := e.m.MemoStats(); hits != 0 || misses != 2 {
-		t.Fatalf("after drifted probe: memo %d/%d, want 0/2", hits, misses)
-	}
-	if g := e.m.escV.Gen() + e.m.escG.Gen(); e.m.memoEscGen != g {
-		t.Fatalf("memoEscGen %d not resynced to %d", e.m.memoEscGen, g)
-	}
-}
-
-// TestMemoVerifyPanics pins the oracle's two divergence checks: a
-// replayed frame differing from the recorded one, and a recorded miss
-// class that the fused gate could never have produced.
-func TestMemoVerifyPanics(t *testing.T) {
-	mustPanic := func(t *testing.T, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatal("memoVerify did not panic")
-			}
-		}()
-		f()
-	}
-	m := New(Config{})
-	t.Run("hpa-mismatch", func(t *testing.T) {
-		e := &memoEntry{hpa: 0x1000, aux: memoAux(5, 2, walkprof.ClassWalkNeither)}
-		mustPanic(t, func() { m.memoVerify(e, 0xABC000, 0x2000) })
-	})
-	t.Run("class-mismatch", func(t *testing.T) {
-		e := &memoEntry{hpa: 0x1000, aux: memoAux(5, 2, walkprof.ClassWalk1D)}
-		mustPanic(t, func() { m.memoVerify(e, 0xABC000, 0x1008) })
-	})
 }

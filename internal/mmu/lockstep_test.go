@@ -9,51 +9,35 @@ import (
 	"vdirect/internal/telemetry/walkprof"
 )
 
-// lockstepSide is one of the two twins of TestFusedMatchesGeneralObserved:
-// a Base Virtualized MMU with a period-1 sampler and a walk probe.
+// lockstepSide is one of the two twins of TestObservedMatchesUnobserved:
+// a Base Virtualized MMU, observed (a period-1 sampler and a walk
+// probe) or not.
 type lockstepSide struct {
 	e     *env
 	s     *walkprof.Sampler
 	probe *telemetry.WalkProbe
-	fused bool
 }
 
-func newLockstepSide(t *testing.T, fused bool) *lockstepSide {
+func newLockstepSide(t *testing.T, observed bool) *lockstepSide {
 	t.Helper()
-	side := &lockstepSide{e: newEnv(t, 16, Config{}), probe: &telemetry.WalkProbe{}, fused: fused}
-	side.s = sampleEverything(side.e.m)
-	side.e.m.SetWalkProbe(side.probe)
-	if !side.e.m.memoGate() {
-		t.Fatal("observed Base Virtualized MMU fails the fused gate")
+	side := &lockstepSide{e: newEnv(t, 16, Config{})}
+	if observed {
+		side.s = sampleEverything(side.e.m)
+		side.probe = &telemetry.WalkProbe{}
+		side.e.m.SetWalkProbe(side.probe)
 	}
 	return side
 }
 
-// translate is Translate's L1 stage followed by the side's miss path:
-// missResolve (the fused walker) or translateMiss (the scheme's general
-// probeL2 + walk2D + nestedWalk2D path).
-func (side *lockstepSide) translate(gva uint64) (Result, *Fault) {
-	m := side.e.m
-	m.stats.Accesses++
-	if hpa, _, hit := m.l1.Lookup(gva); hit {
-		m.stats.L1Hits++
-		return Result{HPA: hpa, L1Hit: true}, nil
-	}
-	m.stats.L1Misses++
-	if side.fused {
-		return m.missResolve(gva)
-	}
-	return m.translateMiss(gva)
-}
-
-// TestFusedMatchesGeneralObserved drives two identical observed MMUs in
-// lockstep, one through the fused miss path and one through the general
-// one, and requires identical results, faults, Stats, sample streams
-// and probe histograms after every access. The sweep covers L1 hits, L2
-// hits, cold and warm 2D walks, a guest fault, a final-gPA nested
-// fault, table-reference nested faults with the guest walk cache warm
-// and cold (both refund a sampled tick), and nested and guest 2M leaves.
-func TestFusedMatchesGeneralObserved(t *testing.T) {
+// TestObservedMatchesUnobserved drives two identical Base Virtualized
+// MMUs in lockstep, one with observers attached and one without, and
+// requires identical results, faults and Stats after every access:
+// observation must not change which code runs or what it computes. The
+// sweep covers L1 hits, L2 hits, cold and warm 2D walks, a guest fault,
+// a final-gPA nested fault, table-reference nested faults with the
+// guest walk cache warm and cold (both refund a sampled tick), the
+// nested skip clamp, and guest 2M leaves.
+func TestObservedMatchesUnobserved(t *testing.T) {
 	sides := [2]*lockstepSide{newLockstepSide(t, true), newLockstepSide(t, false)}
 	both := func(f func(e *env) error) {
 		t.Helper()
@@ -63,29 +47,18 @@ func TestFusedMatchesGeneralObserved(t *testing.T) {
 			}
 		}
 	}
-	compare := func(what string) {
-		t.Helper()
-		f, g := sides[0], sides[1]
-		if fs, gs := f.e.m.Stats(), g.e.m.Stats(); fs != gs {
-			t.Fatalf("%s: stats diverge:\nfused:   %+v\ngeneral: %+v", what, fs, gs)
-		}
-		if !reflect.DeepEqual(f.s.Samples(), g.s.Samples()) {
-			t.Fatalf("%s: sample streams diverge:\nfused:   %+v\ngeneral: %+v", what, f.s.Samples(), g.s.Samples())
-		}
-		if *f.probe != *g.probe {
-			t.Fatalf("%s: probe histograms diverge:\nfused:   %+v\ngeneral: %+v", what, *f.probe, *g.probe)
-		}
-	}
 	// access translates gva on both sides and returns the (shared) fault.
 	access := func(gva uint64) *Fault {
 		t.Helper()
-		fr, ff := sides[0].translate(gva)
-		gr, gf := sides[1].translate(gva)
-		if fr != gr || !reflect.DeepEqual(ff, gf) {
-			t.Fatalf("gva %#x: fused (%+v, %v), general (%+v, %v)", gva, fr, ff, gr, gf)
+		or, of := sides[0].e.m.Translate(gva)
+		ur, uf := sides[1].e.m.Translate(gva)
+		if or != ur || !reflect.DeepEqual(of, uf) {
+			t.Fatalf("gva %#x: observed (%+v, %v), unobserved (%+v, %v)", gva, or, of, ur, uf)
 		}
-		compare("after access")
-		return ff
+		if os, us := sides[0].e.m.Stats(), sides[1].e.m.Stats(); os != us {
+			t.Fatalf("gva %#x: stats diverge:\nobserved:   %+v\nunobserved: %+v", gva, os, us)
+		}
+		return of
 	}
 	mustResolve := func(gvas ...uint64) {
 		t.Helper()
@@ -108,7 +81,7 @@ func TestFusedMatchesGeneralObserved(t *testing.T) {
 	// stays as it was.
 	ptNode := func(sibling uint64) uint64 {
 		t.Helper()
-		_, _, refs, ok := sides[0].e.gPT.Walk(sibling, nil)
+		_, _, refs, ok := sides[0].e.gPT.WalkFrom(sibling, 0, nil)
 		if ok || len(refs) != 4 {
 			t.Fatalf("sibling walk of %#x: ok=%v refs=%d, want an absent 4K leaf", sibling, ok, len(refs))
 		}
@@ -199,5 +172,8 @@ func TestFusedMatchesGeneralObserved(t *testing.T) {
 	}
 	if n := sides[0].s.Len(); uint64(n) != st.L2Hits+st.Walks-st.GuestFaults-st.NestedFaults {
 		t.Fatalf("%d samples for %d L2 hits and %d completed walks", n, st.L2Hits, st.Walks-st.GuestFaults-st.NestedFaults)
+	}
+	if sides[0].probe.Refs.Count() != st.Walks {
+		t.Fatalf("probe observed %d walks, Stats count %d", sides[0].probe.Refs.Count(), st.Walks)
 	}
 }

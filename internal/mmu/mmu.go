@@ -221,39 +221,7 @@ type MMU struct {
 	lastValid bool
 	lastVBase uint64 // 4K-aligned gVA
 	lastHBase uint64 // 4K-aligned hPA
-
-	// Miss-outcome memo (memo.go): per-(ASID, 4K VPN) records of fully
-	// resolved misses, invalidated wholesale by memoEpoch. A hit
-	// licenses the fused straight-line replay of the miss path; every
-	// modeled micro-op still re-executes there, so the memo can steer
-	// only host-side structure, never simulated outcomes.
-	memo      []memoEntry
-	memoEpoch uint64
-	// memoEscGen mirrors escV.Gen()+escG.Gen() as of the last epoch
-	// sync; a drift detected on the miss path bumps the epoch, making
-	// escape-filter mutation an invalidation source even though the
-	// filters are mutated directly, not through MMU methods.
-	memoEscGen uint64
-	memoHits   uint64
-	memoMisses uint64
-	// memoCheck engages the memo: entries are recorded, probed, and
-	// each fused replay's result cross-checked against the recorded
-	// outcome (panic on divergence). Off by default: the exact-replay
-	// doctrine means a memo hit licenses nothing skippable, so in
-	// production the probe would spend a host cache line per miss to
-	// learn what the replay recomputes anyway — measured at ~10% of the
-	// GUPS hot path. The memo therefore runs as a differential-testing
-	// oracle, not an accelerator; see DESIGN.md §5.
-	memoCheck bool
 }
-
-// bumpEpoch invalidates the miss memo wholesale. Every operation that
-// can change how a future miss resolves — flushes, ASID switches,
-// invalidations, table/segment/scheme register writes, fault service —
-// lands here; correctness does not depend on the list being complete
-// (the fused replay re-reads all modeled state), only the memo's
-// recorded outcomes' freshness does.
-func (m *MMU) bumpEpoch() { m.memoEpoch++ }
 
 // New builds an MMU with the given hardware configuration.
 func New(cfg Config) *MMU {
@@ -276,7 +244,6 @@ func New(cfg Config) *MMU {
 func (m *MMU) SetGuestPageTable(t *pagetable.Table) {
 	m.gPT = t
 	m.lastValid = false
-	m.bumpEpoch()
 }
 
 // SetNestedPageTable installs the second-dimension table and enables
@@ -285,7 +252,6 @@ func (m *MMU) SetNestedPageTable(t *pagetable.Table) {
 	m.nPT = t
 	m.virtualized = t != nil
 	m.lastValid = false
-	m.bumpEpoch()
 	m.updateScheme()
 }
 
@@ -297,7 +263,6 @@ func (m *MMU) SetNestedPageTable(t *pagetable.Table) {
 func (m *MMU) SetFlatNested(on bool) {
 	m.flatNested = on
 	m.lastValid = false
-	m.bumpEpoch()
 	m.updateScheme()
 }
 
@@ -308,7 +273,6 @@ func (m *MMU) FlatNested() bool { return m.flatNested }
 func (m *MMU) SetGuestSegment(r segment.Registers) {
 	m.segs.Guest = r
 	m.lastValid = false
-	m.bumpEpoch()
 	m.updateScheme()
 }
 
@@ -316,7 +280,6 @@ func (m *MMU) SetGuestSegment(r segment.Registers) {
 func (m *MMU) SetVMMSegment(r segment.Registers) {
 	m.segs.VMM = r
 	m.lastValid = false
-	m.bumpEpoch()
 	m.updateScheme()
 }
 
@@ -363,7 +326,6 @@ func (m *MMU) ResetStats() { m.stats = Stats{} }
 // nested invalidation would.
 func (m *MMU) FlushTLBs() {
 	m.lastValid = false
-	m.bumpEpoch()
 	m.l1.Flush()
 	m.l2.Flush()
 	m.pwc.Flush()
@@ -374,7 +336,6 @@ func (m *MMU) FlushTLBs() {
 // guest segment registers change; guest-visible translations flush.
 func (m *MMU) ContextSwitch(gpt *pagetable.Table, guestSeg segment.Registers) {
 	m.lastValid = false
-	m.bumpEpoch()
 	m.gPT = gpt
 	m.segs.Guest = guestSeg
 	m.updateScheme()
@@ -391,7 +352,6 @@ func (m *MMU) ContextSwitch(gpt *pagetable.Table, guestSeg segment.Registers) {
 // regardless.
 func (m *MMU) ContextSwitchASID(gpt *pagetable.Table, guestSeg segment.Registers, asid uint16) {
 	m.lastValid = false
-	m.bumpEpoch()
 	m.gPT = gpt
 	m.segs.Guest = guestSeg
 	m.updateScheme()
@@ -407,7 +367,6 @@ func (m *MMU) ContextSwitchASID(gpt *pagetable.Table, guestSeg segment.Registers
 // unconditionally (the flushed ASID may be the active one).
 func (m *MMU) FlushASID(a uint16) {
 	m.lastValid = false
-	m.bumpEpoch()
 	m.l1.FlushASID(a)
 	m.l2.FlushASID(a)
 	m.pwc.FlushASID(a)
@@ -424,7 +383,6 @@ func (m *MMU) FlushASID(a uint16) {
 // optimistic cost for one walk.
 func (m *MMU) InvalidatePage(gva uint64, s addr.PageSize) {
 	m.lastValid = false
-	m.bumpEpoch()
 	base := addr.PageBase(gva, s)
 	for off := uint64(0); off < s.Bytes(); off += addr.PageSize4K {
 		m.l1.Invalidate(base + off)
@@ -436,7 +394,6 @@ func (m *MMU) InvalidatePage(gva uint64, s addr.PageSize) {
 // composite and nested translations derived from the nPT are stale.
 func (m *MMU) InvalidateNested() {
 	m.lastValid = false
-	m.bumpEpoch()
 	m.l1.Flush()
 	m.l2.Flush()
 	m.pwc.Flush()
@@ -474,9 +431,8 @@ func (m *MMU) Translate(gva uint64) (Result, *Fault) {
 	}
 	m.stats.L1Misses++
 
-	res, fault := m.missResolve(gva)
+	res, fault := m.scheme.TranslateMiss(m, gva)
 	if fault != nil {
-		m.bumpEpoch() // the fault will be serviced before the retry
 		return Result{}, fault
 	}
 	m.lastValid, m.lastVBase, m.lastHBase = true, vbase, res.HPA&^(addr.PageSize4K-1)
@@ -521,10 +477,9 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 		m.stats.L1Hits += l1Hits
 		accesses, l1Hits = 0, 0
 		m.stats.L1Misses++
-		res, fault := m.missResolve(gva)
+		res, fault := m.scheme.TranslateMiss(m, gva)
 		if fault != nil {
 			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
-			m.bumpEpoch() // the fault will be serviced before the retry
 			return i, fault
 		}
 		lastValid, lastVBase, lastHBase = true, vbase, res.HPA&^(addr.PageSize4K-1)
@@ -536,13 +491,6 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 	m.stats.L1Hits += l1Hits
 	m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
 	return len(evs), nil
-}
-
-// translateMiss handles everything past an L1 miss by dispatching to
-// the active scheme: segment fast paths, the L2 probe, and the
-// scheme's walk machine.
-func (m *MMU) translateMiss(gva uint64) (Result, *Fault) {
-	return m.scheme.TranslateMiss(m, gva)
 }
 
 // dualFastPath is the Dual Direct 0D path, shared by the schemes whose
@@ -669,42 +617,50 @@ func (m *MMU) endWalk(o walkObs, gva uint64, fault *Fault) {
 
 // walk1D invokes the native 1D walk state machine, charging cycles on
 // top of the cost already accumulated.
-func (m *MMU) walk1D(gva uint64, cycles uint64) (Result, *Fault) {
+func (m *MMU) walk1D(gva uint64, cycles uint64) (hpa, cyc uint64, fault *Fault) {
 	o := m.beginWalk()
-	res, fault := m.nativeWalk(gva, cycles)
+	hpa, cyc, fault = m.nativeWalk(gva, cycles)
 	m.endWalk(o, gva, fault)
-	return res, fault
+	return hpa, cyc, fault
 }
 
 // walk2D invokes the 2D walk state machine of Figure 5(b).
-func (m *MMU) walk2D(gva uint64, cycles uint64) (Result, *Fault) {
+func (m *MMU) walk2D(gva uint64, cycles uint64) (hpa, cyc uint64, fault *Fault) {
 	o := m.beginWalk()
-	res, fault := m.nestedWalk2D(gva, cycles)
+	hpa, cyc, fault = m.nestedWalk2D(gva, cycles)
 	m.endWalk(o, gva, fault)
-	return res, fault
+	return hpa, cyc, fault
 }
 
 // walkFlat invokes the flattened 2D walk (scheme_flat.go).
-func (m *MMU) walkFlat(gva uint64, cycles uint64) (Result, *Fault) {
+func (m *MMU) walkFlat(gva uint64, cycles uint64) (hpa, cyc uint64, fault *Fault) {
 	o := m.beginWalk()
-	res, fault := m.flatWalk2D(gva, cycles)
+	hpa, cyc, fault = m.flatWalk2D(gva, cycles)
 	m.endWalk(o, gva, fault)
-	return res, fault
+	return hpa, cyc, fault
+}
+
+// walked packs a walk's outcome as the miss path's Result (zero on a
+// fault). The walkers return bare words rather than a Result: a
+// five-field struct is not kept in registers, so every call level it
+// crossed cost a round trip through the stack.
+func walked(hpa, cycles uint64, fault *Fault) (Result, *Fault) {
+	return Result{HPA: hpa, Cycles: cycles}, fault
 }
 
 // nativeWalk is the 1D walk: up to 4 references through the PTE cache,
 // reduced by the paging-structure caches.
-func (m *MMU) nativeWalk(va uint64, cycles uint64) (Result, *Fault) {
+func (m *MMU) nativeWalk(va uint64, cycles uint64) (uint64, uint64, *Fault) {
 	pa, size, ok, _ := m.walkGuestTable(va, &cycles, false)
 	if !ok {
 		m.stats.GuestFaults++
 		m.stats.WalkCycles += cycles
-		return Result{}, &Fault{Kind: FaultGuest, Addr: va}
+		return 0, 0, &Fault{Kind: FaultGuest, Addr: va}
 	}
 	m.stats.WalkCycles += cycles
 	m.walkClass = walkprof.ClassWalk1D
 	m.insertComposite(va, pa, size, size)
-	return Result{HPA: pa, Cycles: cycles}, nil
+	return pa, cycles, nil
 }
 
 // walkGuestTable walks the first-dimension table, applying the guest
@@ -716,53 +672,59 @@ func (m *MMU) nativeWalk(va uint64, cycles uint64) (Result, *Fault) {
 // takes precedence over !ok at the caller.
 func (m *MMU) walkGuestTable(va uint64, cycles *uint64, nested bool) (pa uint64, size addr.PageSize, ok bool, fault *Fault) {
 	// The PWC is probed before the walk (it always was probed, success
-	// or fault) so the walk can skip materializing references the
-	// charging loop below would never read; WalkFrom still emits the
-	// leaf (or faulting) reference, matching Walk's clamped refs[skip:].
+	// or fault) so the walk emits only the references the charging loop
+	// below reads, plus the leaf (or faulting) one.
 	skip := 0
 	if !m.cfg.DisablePWC {
 		skip = m.pwc.SkipLevel(va)
 	}
-	return m.walkGuestTableSkip(va, cycles, nested, skip)
-}
-
-// walkGuestTableSkip is walkGuestTable with the PWC skip level already
-// probed — the fused miss path (memo.go) interposes other work between
-// the probe and the walk.
-func (m *MMU) walkGuestTableSkip(va uint64, cycles *uint64, nested bool, skip int) (pa uint64, size addr.PageSize, ok bool, fault *Fault) {
-	m.refBuf = m.refBuf[:0]
-	pa, size, refs, ok := m.gPT.WalkFrom(va, skip, m.refBuf)
-	m.refBuf = refs
+	// The walk-cache fast path emits a present 4K leaf's references into
+	// a fixed array; any other walk goes through WalkFrom's buffer and is
+	// copied into the same array (at most one reference per level).
+	var refs [addr.Levels]uint64
+	var n int
+	leaf := addr.LvlPT
+	if fp, hit := m.gPT.Probe4K(va); hit {
+		pa, refs, n = fp.Emit(va, skip)
+		size, ok = addr.Page4K, true
+	} else {
+		pa, size, m.refBuf, ok = m.gPT.WalkFrom(va, skip, m.refBuf[:0])
+		for _, ref := range m.refBuf {
+			refs[n] = ref.Addr
+			n++
+		}
+		leaf = m.refBuf[n-1].Level
+	}
 
 	// The ref count is accumulated locally and flushed to the stats
 	// struct once (including on the fault path, where only the refs
 	// performed before the abort count), not read-modify-written per
 	// reference.
-	n := uint64(0)
-	for _, ref := range refs {
-		physAddr := ref.Addr
-		if nested {
-			hpa, _, f := m.nestedTranslate(ref.Addr, cycles)
+	if nested {
+		for i, ref := range refs[:n] {
+			hpa, _, f := m.nestedTranslate(ref, cycles)
 			if f != nil {
-				m.stats.WalkMemRefs += n
+				m.stats.WalkMemRefs += uint64(i)
 				return 0, 0, false, f
 			}
-			physAddr = hpa
+			*cycles += m.ptc.Access(hpa)
 		}
-		n++
-		*cycles += m.ptc.Access(physAddr)
+	} else {
+		for _, ref := range refs[:n] {
+			*cycles += m.ptc.Access(ref)
+		}
 	}
-	m.stats.WalkMemRefs += n
+	m.stats.WalkMemRefs += uint64(n)
 	if ok && !m.cfg.DisablePWC {
 		// Interior levels traversed feed the paging-structure caches.
-		leafLvl := refs[len(refs)-1].Level
-		m.pwc.FillFrom(va, skip, leafLvl)
+		m.pwc.FillFrom(va, skip, leaf)
 	}
 	return pa, size, ok, nil
 }
 
 // nestedTranslate resolves one gPA to hPA: VMM segment (with escape
-// filter), then nested TLB, then a nested page-table walk.
+// filter), then nested TLB, then a nested page-table walk through the
+// same walk-cache fast path and WalkFrom fallback as walkGuestTable.
 func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize, *Fault) {
 	// VMM segment check costs Δ whenever the registers are enabled —
 	// the hardware performs it unconditionally (Figure 5(b)).
@@ -783,58 +745,50 @@ func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize
 		}
 		m.stats.NestedTLBMisses++
 	}
-	// Nested page-table walk: up to 4 references, reduced by the
-	// nested paging-structure caches. The ref buffer is reused across
-	// walks (separate from the guest-walk buffer, which is live while a
-	// 2D walk translates its table references through this path).
+	// Nested page-table walk: up to 4 references, reduced by the nested
+	// paging-structure caches. A faulting walk must not probe the nested
+	// PWC (it would perturb its LRU state), so the probe runs only once
+	// success is known: before Emit on the fast path, which cannot fault,
+	// and after the walk otherwise, with the skip clamped so the leaf is
+	// always charged (a stale PDE hint over a 2M leaf would skip it).
 	m.stats.NestedWalks++
-	m.nrefBuf = m.nrefBuf[:0]
+	var refs [addr.Levels]uint64
+	var n, skip int
 	var hpa uint64
-	var nsize addr.PageSize
-	var refs []pagetable.Ref
-	var ok bool
-	skip := 0
-	fast := false
-	if !m.cfg.DisablePWC {
-		// WalkFast runs the walk-cache path and calls back for the skip
-		// level only once success is guaranteed, so the nested PWC is
-		// probed up front (the probe order relative to the walk is
-		// unobservable — the walk never touches the PWC) and the walk
-		// skips materializing references the charging loop would drop.
-		// A fault, which under the old order returned before the PWC
-		// probe, is impossible on the fast path; the general path below
-		// keeps probe-after-walk for that case.
-		hpa, nsize, refs, fast = m.nPT.WalkFast(gpa, func() int {
+	nsize := addr.Page4K
+	leaf := addr.LvlPT
+	if fp, hit := m.nPT.Probe4K(gpa); hit {
+		if !m.cfg.DisablePWC {
 			skip = m.npwc.SkipLevel(gpa)
-			return skip
-		}, m.nrefBuf)
-	}
-	if fast {
-		m.nrefBuf = refs
-		ok = true
-	} else {
-		hpa, nsize, refs, ok = m.nPT.Walk(gpa, m.nrefBuf)
-		m.nrefBuf = refs // keep the buffer anchored at its start
-		if ok && !m.cfg.DisablePWC {
-			skip = m.npwc.SkipLevel(gpa)
-			if skip > len(refs)-1 {
-				skip = len(refs) - 1
-			}
 		}
-		refs = refs[skip:]
+		hpa, refs, n = fp.Emit(gpa, skip)
+	} else {
+		// The nested buffer is separate from the guest one, which is live
+		// while a 2D walk translates its table references through here.
+		var ok bool
+		hpa, nsize, m.nrefBuf, ok = m.nPT.WalkFrom(gpa, 0, m.nrefBuf[:0])
+		walked := m.nrefBuf
+		if !ok {
+			m.stats.NestedFaults++
+			return 0, 0, &Fault{Kind: FaultNested, Addr: gpa}
+		}
+		if !m.cfg.DisablePWC {
+			skip = min(m.npwc.SkipLevel(gpa), len(walked)-1)
+		}
+		for _, ref := range walked[skip:] {
+			refs[n] = ref.Addr
+			n++
+		}
+		leaf = walked[len(walked)-1].Level
 	}
-	if !ok {
-		m.stats.NestedFaults++
-		return 0, 0, &Fault{Kind: FaultNested, Addr: gpa}
-	}
-	m.stats.WalkMemRefs += uint64(len(refs))
+	m.stats.WalkMemRefs += uint64(n)
 	cyc := *cycles
-	for _, ref := range refs {
-		cyc += m.ptc.Access(ref.Addr)
+	for _, ref := range refs[:n] {
+		cyc += m.ptc.Access(ref)
 	}
 	*cycles = cyc
 	if !m.cfg.DisablePWC {
-		m.npwc.FillFrom(gpa, skip, refs[len(refs)-1].Level)
+		m.npwc.FillFrom(gpa, skip, leaf)
 	}
 	if !m.cfg.DisableNestedTLB {
 		m.l2.InsertNested(gpa&^(addr.PageSize4K-1), hpa&^(addr.PageSize4K-1))
@@ -844,13 +798,13 @@ func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize
 
 // nestedWalk2D is the two-dimensional walk of Figure 2, flattened in
 // one or both dimensions when segments cover the relevant ranges.
-func (m *MMU) nestedWalk2D(gva uint64, cycles uint64) (Result, *Fault) {
+func (m *MMU) nestedWalk2D(gva uint64, cycles uint64) (uint64, uint64, *Fault) {
 	// The guest escape filter is the §V extension ("escape filters at
 	// both levels so the guest OS can escape pages as well"): a covered
 	// gVA that hits it walks the guest page table instead.
-	guestCovered := m.segs.Guest.Enabled() && m.segs.Guest.Contains(gva) &&
-		!m.escapeGuest(gva)
+	guestCovered := false
 	if m.segs.Guest.Enabled() {
+		guestCovered = m.segs.Guest.Contains(gva) && !m.escapeGuest(gva)
 		// The guest base-bound check happens once per walk (Δ_GD = 1).
 		cycles += m.cfg.SegmentCheckCycles
 		m.stats.SegmentChecks++
@@ -869,12 +823,12 @@ func (m *MMU) nestedWalk2D(gva uint64, cycles uint64) (Result, *Fault) {
 		pa, size, ok, fault := m.walkGuestTable(gva, &cycles, true)
 		if fault != nil {
 			m.stats.WalkCycles += cycles
-			return Result{}, fault
+			return 0, 0, fault
 		}
 		if !ok {
 			m.stats.GuestFaults++
 			m.stats.WalkCycles += cycles
-			return Result{}, &Fault{Kind: FaultGuest, Addr: gva}
+			return 0, 0, &Fault{Kind: FaultGuest, Addr: gva}
 		}
 		gpa, gsize = pa, size
 	}
@@ -884,13 +838,13 @@ func (m *MMU) nestedWalk2D(gva uint64, cycles uint64) (Result, *Fault) {
 	hpa, nsize, fault := m.nestedTranslate(gpa, &cycles)
 	if fault != nil {
 		m.stats.WalkCycles += cycles
-		return Result{}, fault
+		return 0, 0, fault
 	}
 
 	m.classifyMiss(guestCovered, vmmCovered)
 	m.stats.WalkCycles += cycles
 	m.insertComposite(gva, hpa, gsize, nsize)
-	return Result{HPA: hpa, Cycles: cycles}, nil
+	return hpa, cycles, nil
 }
 
 // classifyMiss updates the Table I / Table IV fraction counters and

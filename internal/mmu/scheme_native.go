@@ -25,7 +25,7 @@ func (nativeScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 	if res, hit := m.probeL2(gva, &cycles); hit {
 		return res, nil
 	}
-	return m.walk1D(gva, cycles)
+	return walked(m.walk1D(gva, cycles))
 }
 
 // directSegmentScheme is the unvirtualized direct segment (§III): a
@@ -70,5 +70,5 @@ func (directSegmentScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 		m.sampleWalkless(gva, walkprof.ClassZeroD, cycles)
 		return Result{HPA: pa, Cycles: cycles, ZeroD: true}, nil
 	}
-	return m.walk1D(gva, cycles)
+	return walked(m.walk1D(gva, cycles))
 }

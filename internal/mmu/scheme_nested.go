@@ -15,7 +15,7 @@ func (nested2DScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 	if res, hit := m.probeL2(gva, &cycles); hit {
 		return res, nil
 	}
-	return m.walk2D(gva, cycles)
+	return walked(m.walk2D(gva, cycles))
 }
 
 // baseVirtualizedScheme is the unmodified 2D baseline: no segments,
@@ -110,5 +110,5 @@ func (dualDirectScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 	if res, hit := m.probeL2(gva, &cycles); hit {
 		return res, nil
 	}
-	return m.walk2D(gva, cycles)
+	return walked(m.walk2D(gva, cycles))
 }

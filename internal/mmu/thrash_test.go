@@ -12,8 +12,8 @@ import (
 // more live pages per L1 set than the TLB has ways — through per-event
 // Translate on one stack and TranslateBlock on an identical one, with
 // flushes, page invalidations, and tagged context switches landing at
-// the same event boundaries on both. Under eviction pressure the
-// batched path's run detection, last-page restore, and memo epochs all
+// the same event boundaries on both. Under eviction pressure the block
+// loop's last-page carry and restore, the L2 and the walk caches all
 // get exercised on entries that keep disappearing; the contract is the
 // same as TestTranslateBlockMatchesPerEvent: batching must be invisible
 // in every counter, every result, and (in the sampled variant) every
@@ -49,9 +49,8 @@ type thrashState struct {
 // 4 ways = 16 sets and the shared L2 is 512 / 4 = 128 sets, so VPNs
 // striding 128 collide in one set of *both* levels. Twelve pages per
 // set against 4 ways guarantees steady conflict evictions all the way
-// down — re-sweeps miss L1 and L2 and re-walk, which is what arms the
-// memo oracle. Two set offsets keep the pressure from being purely
-// one-set pathological.
+// down — re-sweeps miss L1 and L2 and re-walk. Two set offsets keep
+// the pressure from being purely one-set pathological.
 func thrashVAs() []uint64 {
 	var vas []uint64
 	for set := uint64(0); set < 2; set++ {
@@ -140,9 +139,8 @@ func thrashScript() []thrashOp {
 	}
 	for r := 0; r < 8; r++ {
 		// Two back-to-back sweeps: the second re-walks the pages the
-		// first's conflict evictions threw out, inside the same memo
-		// epoch — that is what gives the memo oracle hits to verify
-		// before the mutation below stales everything again.
+		// first's conflict evictions threw out before the mutation below
+		// flushes or retags everything again.
 		sweep(r)
 		sweep(r + 5)
 		switch r % 4 {
@@ -238,64 +236,35 @@ func runThrashBlock(t *testing.T, s *thrashState, script []thrashOp) []Result {
 }
 
 // TestTranslateBlockThrashDifferential is the adversarial batching
-// differential. The memocheck variant additionally arms the per-page
-// memo as a self-verifying oracle (SetMemoCheck), so every fused walk
-// whose memoized outcome survives an epoch is cross-checked against
-// the walk it just re-executed — through flushes, INVLPGs, and ASID
-// churn designed to stale the memo.
+// differential: per-event and block runs of the thrash script must
+// agree on every result and every counter.
 func TestTranslateBlockThrashDifferential(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		memoCheck bool
-	}{
-		{"plain", false},
-		{"memocheck", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			script := thrashScript()
+	t.Run("plain", func(t *testing.T) {
+		script := thrashScript()
+		per := newThrashState(t, Config{})
+		blk := newThrashState(t, Config{})
+		perResults := runThrashPerEvent(t, per, script)
+		blkResults := runThrashBlock(t, blk, script)
 
-			per := newThrashState(t, Config{})
-			blk := newThrashState(t, Config{})
-			if tc.memoCheck {
-				per.e.m.SetMemoCheck(true)
-				blk.e.m.SetMemoCheck(true)
+		if len(perResults) != len(blkResults) {
+			t.Fatalf("result counts diverge: %d vs %d", len(perResults), len(blkResults))
+		}
+		for i := range perResults {
+			if perResults[i] != blkResults[i] {
+				t.Fatalf("result %d diverges:\nper-event %+v\nblock     %+v", i, perResults[i], blkResults[i])
 			}
+		}
+		if per.e.m.Stats() != blk.e.m.Stats() {
+			t.Errorf("stats diverge:\nper-event: %+v\nblock:     %+v", per.e.m.Stats(), blk.e.m.Stats())
+		}
 
-			perResults := runThrashPerEvent(t, per, script)
-			blkResults := runThrashBlock(t, blk, script)
-
-			if len(perResults) != len(blkResults) {
-				t.Fatalf("result counts diverge: %d vs %d", len(perResults), len(blkResults))
-			}
-			for i := range perResults {
-				if perResults[i] != blkResults[i] {
-					t.Fatalf("result %d diverges:\nper-event %+v\nblock     %+v", i, perResults[i], blkResults[i])
-				}
-			}
-			if per.e.m.Stats() != blk.e.m.Stats() {
-				t.Errorf("stats diverge:\nper-event: %+v\nblock:     %+v", per.e.m.Stats(), blk.e.m.Stats())
-			}
-
-			// The workload must actually thrash, or the differential is
-			// vacuous: with 12 live pages per 4-way set, most sweep
-			// touches should miss L1 even in steady state.
-			if st := per.e.m.Stats(); st.L1Misses < st.Accesses/3 {
-				t.Errorf("workload not adversarial: only %d L1 misses in %d accesses", st.L1Misses, st.Accesses)
-			}
-			if tc.memoCheck {
-				// The oracle is only meaningful if some memoized outcomes
-				// survived to be verified.
-				hits, misses := per.e.m.MemoStats()
-				if hits == 0 {
-					t.Errorf("memo oracle never hit (misses=%d); churn script defeats its own check", misses)
-				}
-				bh, bm := blk.e.m.MemoStats()
-				if bh != hits || bm != misses {
-					t.Errorf("memo traffic diverges: per-event %d/%d, block %d/%d", hits, misses, bh, bm)
-				}
-			}
-		})
-	}
+		// The workload must actually thrash, or the differential is
+		// vacuous: with 12 live pages per 4-way set, most sweep touches
+		// should miss L1 even in steady state.
+		if st := per.e.m.Stats(); st.L1Misses < st.Accesses/3 {
+			t.Errorf("workload not adversarial: only %d L1 misses in %d accesses", st.L1Misses, st.Accesses)
+		}
+	})
 }
 
 // TestInvalidatePageCrossASID pins two deliberate asymmetries between

@@ -7,6 +7,14 @@
 // segment resize, mode switch, bad-page escape, ballooning, migration)
 // is applied to both worlds.
 //
+// Alongside the oracle, a TLB-coherence ledger per MMU remembers the
+// host frame every (ASID, 4K page) last resolved to. A later access
+// resolving the same key to a different frame is an error unless the
+// harness invalidated that key in between: a page may change frame only
+// under an explicit flush, whether or not the MMU still caches it. All
+// harness→MMU invalidations go through one helper (invalidate), which
+// applies them to the MMUs and the ledgers together.
+//
 // The fuzz targets feed this harness raw bytes; deterministic tests
 // feed it hand-built op streams. Because both MMUs must match the same
 // cache-free oracle, the harness simultaneously proves the metamorphic
@@ -105,6 +113,13 @@ type Harness struct {
 
 	// mmus[0] is the strict geometry, mmus[1] the pressure geometry.
 	mmus [2]*mmu.MMU
+	// ledgers[i] is mmus[i]'s TLB-coherence ledger: the host frame each
+	// (ASID, 4K gVA page) last resolved to since its last invalidation.
+	ledgers [2]map[ledgerKey]uint64
+	// skipInvalidations, when positive, makes invalidate drop that many
+	// upcoming invalidations entirely (MMUs and ledgers alike): tests
+	// model an OS that forgets one and check the ledger catches it.
+	skipInvalidations int
 
 	vmmRegs segment.Registers // full-guest VMM segment registers
 	primGPA uint64            // gPA backing PrimBase
@@ -241,14 +256,8 @@ func NewHarnessNested(nested addr.PageSize) (*Harness, error) {
 		m.SetNestedPageTable(vm.NPT)
 		m.SetGuestSegment(proc.Seg)
 		m.SetVMMSegment(h.vmmRegs)
-		// Engage the miss memo and its cross-check: whenever an op
-		// stream steers a stack into the fused-eligible configuration
-		// (unsegmented nested paging — the pressure geometry once both
-		// segments are off), every replayed miss is verified against the
-		// recorded outcome, so an invalidation gap in the memo's epoch
-		// scheme panics the fuzz target instead of hiding.
-		m.SetMemoCheck(true)
 	}
+	h.ledgers = [2]map[ledgerKey]uint64{{}, {}}
 
 	// Mirror architectural state into the oracle. The nested map is
 	// snapshotted from the NPT's software view once at build time; from
@@ -387,9 +396,7 @@ func (h *Harness) step(r *opReader) error {
 		case subBalloon:
 			return h.opBalloon()
 		case subFlush:
-			for _, m := range h.mmus {
-				m.FlushTLBs()
-			}
+			h.invalidate(func(m *mmu.MMU) { m.FlushTLBs() }, nil)
 		case subSwitch:
 			h.opContextSwitch(r.next())
 		case subFlushASID:
@@ -397,9 +404,7 @@ func (h *Harness) step(r *opReader) error {
 			// pure cache surgery, so the oracle model is untouched — the
 			// differential check proves it never changes a translation.
 			asid := uint16(r.next()) % 2
-			for _, m := range h.mmus {
-				m.FlushASID(asid)
-			}
+			h.flushASID(asid)
 			// The slot is only truly empty if it isn't the live tag: the
 			// running process repopulates its own slot on the very next
 			// insert, so its ownership must survive the flush or a later
@@ -421,13 +426,8 @@ func (h *Harness) step(r *opReader) error {
 			// mapping itself is untouched, so surviving entries stay
 			// valid and the oracle model needs no update). Exercises
 			// per-page invalidation against the last-page cache and the
-			// miss memo's epoch — a page whose memo entry survived an
-			// INVLPG stale would trip the memoCheck cross-check on its
-			// next recorded replay.
-			va := addr.PageBase(h.decodeVA(r.next(), r.next()), addr.Page4K)
-			for _, m := range h.mmus {
-				m.InvalidatePage(va, addr.Page4K)
-			}
+			// TLBs under every ASID.
+			h.invalidatePage(h.decodeVA(r.next(), r.next()), addr.Page4K)
 		}
 	}
 	return nil
@@ -465,19 +465,18 @@ func (h *Harness) opContextSwitch(b byte) {
 		// process; flush the slot first, as an OS mixing non-PCID and
 		// PCID switching must.
 		if o := h.asidOwner[next]; o != int8(h.cur) && o != -1 {
-			for _, m := range h.mmus {
-				m.FlushASID(next)
-			}
+			h.flushASID(next)
 		}
+		// A tagged switch is not an invalidation: both processes'
+		// translations stay valid under their own tags, so the ledger
+		// keeps them.
 		for _, m := range h.mmus {
 			m.ContextSwitchASID(h.proc.PT, regs, next)
 		}
 		h.curAsid = next
 		h.asidOwner[next] = int8(h.cur)
 	} else {
-		for _, m := range h.mmus {
-			m.ContextSwitch(h.proc.PT, regs)
-		}
+		h.invalidate(func(m *mmu.MMU) { m.ContextSwitch(h.proc.PT, regs) }, nil)
 		// The full flush emptied every slot; the incoming process's
 		// inserts land under the unchanged ASID register.
 		h.asidOwner = [2]int8{-1, -1}
@@ -492,10 +491,68 @@ func (h *Harness) opContextSwitch(b byte) {
 // flat notion at all — identical translations are the whole point.
 func (h *Harness) setFlat(on bool) {
 	h.flat = on
-	for _, m := range h.mmus {
+	h.invalidate(func(m *mmu.MMU) {
 		m.SetFlatNested(on)
 		m.FlushTLBs()
+	}, nil)
+}
+
+// ledgerKey names one TLB-coherence ledger entry: an address space and
+// a 4K gVA page.
+type ledgerKey struct {
+	asid uint16
+	vpn  uint64
+}
+
+// invalidate is the harness's one path for invalidating translations:
+// it applies op to both MMUs and drops from both ledgers every entry
+// drop selects (nil drops them all).
+func (h *Harness) invalidate(op func(m *mmu.MMU), drop func(k ledgerKey) bool) {
+	if h.skipInvalidations > 0 {
+		h.skipInvalidations--
+		return
 	}
+	for i, m := range h.mmus {
+		op(m)
+		if drop == nil {
+			clear(h.ledgers[i])
+			continue
+		}
+		for k := range h.ledgers[i] {
+			if drop(k) {
+				delete(h.ledgers[i], k)
+			}
+		}
+	}
+}
+
+// invalidatePage is INVLPG of the mapping of size s covering va. It is
+// ASID-blind, so the span drops out of the ledgers under every ASID.
+func (h *Harness) invalidatePage(va uint64, s addr.PageSize) {
+	base := addr.PageBase(va, s)
+	first, end := base>>addr.PageShift4K, (base+s.Bytes())>>addr.PageShift4K
+	h.invalidate(func(m *mmu.MMU) { m.InvalidatePage(base, s) },
+		func(k ledgerKey) bool { return k.vpn >= first && k.vpn < end })
+}
+
+// flushASID is INVPCID of one address space.
+func (h *Harness) flushASID(a uint16) {
+	h.invalidate(func(m *mmu.MMU) { m.FlushASID(a) },
+		func(k ledgerKey) bool { return k.asid == a })
+}
+
+// checkCoherence records a successful access in mmus[i]'s ledger and
+// fails if the same (ASID, page) resolved to a different host frame
+// since its last invalidation.
+func (h *Harness) checkCoherence(i int, va, hpa uint64) error {
+	k := ledgerKey{asid: h.curAsid, vpn: va >> addr.PageShift4K}
+	frame := hpa >> addr.PageShift4K
+	if old, ok := h.ledgers[i][k]; ok && old != frame {
+		return fmt.Errorf("TLB-coherence ledger: ASID %d page %#x moved from frame %#x to %#x without an invalidation",
+			k.asid, va&^(addr.PageSize4K-1), old, frame)
+	}
+	h.ledgers[i][k] = frame
+	return nil
 }
 
 // decodeVA maps two operand bytes onto an address in one of the three
@@ -537,15 +594,16 @@ func (h *Harness) inRegion(va uint64) bool {
 // faults the way the guest OS would.
 func (h *Harness) access(va uint64) error {
 	h.accesses = append(h.accesses, va)
-	for i, m := range h.mmus {
-		if err := h.accessOne(m, i == 0, va); err != nil {
+	for i := range h.mmus {
+		if err := h.accessOne(i, va); err != nil {
 			return fmt.Errorf("mmu[%d] va %#x: %w", i, va, err)
 		}
 	}
 	return nil
 }
 
-func (h *Harness) accessOne(m *mmu.MMU, strict bool, va uint64) error {
+func (h *Harness) accessOne(i int, va uint64) error {
+	m, strict := h.mmus[i], i == 0
 	for attempt := 0; attempt < 3; attempt++ {
 		want := h.model.Translate(va)
 		st0 := m.Stats()
@@ -600,7 +658,7 @@ func (h *Harness) accessOne(m *mmu.MMU, strict bool, va uint64) error {
 				return err
 			}
 		}
-		return nil
+		return h.checkCoherence(i, va, res.HPA)
 	}
 	return fmt.Errorf("still faulting after service")
 }
@@ -740,9 +798,7 @@ func (h *Harness) opUnmap(b1, b2 byte) error {
 			return fmt.Errorf("freeing frame %d: %v", mp.Target+i, err)
 		}
 	}
-	for _, m := range h.mmus {
-		m.InvalidatePage(base, mp.Size)
-	}
+	h.invalidatePage(base, mp.Size)
 	h.model.UnmapGuest(base, mp.Size)
 	return nil
 }
@@ -772,10 +828,10 @@ func (h *Harness) opResizeGuestSegment(b byte) error {
 	}
 	h.guestSegPages = newPages
 	regs := segment.NewRegisters(PrimBase, h.primGPA, newPages<<addr.PageShift4K)
-	for _, m := range h.mmus {
+	h.invalidate(func(m *mmu.MMU) {
 		m.SetGuestSegment(regs)
 		m.FlushTLBs()
-	}
+	}, nil)
 	h.model.GuestSeg = Segment{Base: regs.Base, Limit: regs.Limit, Offset: regs.Offset}
 	return nil
 }
@@ -788,10 +844,10 @@ func (h *Harness) opToggleVMMSegment() {
 	if h.vmmSegOn {
 		regs = h.vmmRegs
 	}
-	for _, m := range h.mmus {
+	h.invalidate(func(m *mmu.MMU) {
 		m.SetVMMSegment(regs)
 		m.FlushTLBs()
-	}
+	}, nil)
 	h.model.VMMSeg = Segment{Base: regs.Base, Limit: regs.Limit, Offset: regs.Offset}
 }
 
@@ -799,14 +855,14 @@ func (h *Harness) opToggleVMMSegment() {
 // translation, as a VM teardown/boot would.
 func (h *Harness) opToggleVirtualized() {
 	h.virtualized = !h.virtualized
-	for _, m := range h.mmus {
-		if h.virtualized {
-			m.SetNestedPageTable(h.vm.NPT)
-		} else {
-			m.SetNestedPageTable(nil)
-		}
-		m.FlushTLBs()
+	npt := h.vm.NPT
+	if !h.virtualized {
+		npt = nil
 	}
+	h.invalidate(func(m *mmu.MMU) {
+		m.SetNestedPageTable(npt)
+		m.FlushTLBs()
+	}, nil)
 	h.model.Virtualized = h.virtualized
 }
 
@@ -837,10 +893,12 @@ func (h *Harness) opEscapeGuest(b byte) error {
 	} else if err := h.proc.PT.Map(va, gpa, addr.Page4K); err != nil {
 		return fmt.Errorf("mapping escaped page %#x: %v", va, err)
 	}
+	// The filter write itself invalidates nothing: the remapped page
+	// changes frame, so it needs the INVLPG.
 	for _, m := range h.mmus {
 		m.GuestEscapeFilter().Insert(vp)
-		m.InvalidatePage(va, addr.Page4K)
 	}
+	h.invalidatePage(va, addr.Page4K)
 	h.model.MapGuest(va, gpa, addr.Page4K)
 	h.model.EscapedGuest[vp] = true
 	h.filtersClean = false
@@ -872,8 +930,8 @@ func (h *Harness) opEscapeVMM(b1, b2 byte) error {
 	}
 	for _, m := range h.mmus {
 		m.VMMEscapeFilter().Insert(gp)
-		m.InvalidateNested()
 	}
+	h.invalidate(func(m *mmu.MMU) { m.InvalidateNested() }, nil)
 	h.model.MapNested(gbase, hpa, h.nestedSize)
 	h.model.EscapedVMM[gp] = true
 	h.filtersClean = false
@@ -896,8 +954,8 @@ func (h *Harness) opBalloon() error {
 	}
 	for _, m := range h.mmus {
 		m.VMMEscapeFilter().Insert(f)
-		m.InvalidateNested()
 	}
+	h.invalidate(func(m *mmu.MMU) { m.InvalidateNested() }, nil)
 	h.model.UnmapNested(f << addr.PageShift4K)
 	h.model.EscapedVMM[f] = true
 	h.filtersClean = false

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"vdirect/internal/addr"
@@ -118,6 +119,40 @@ func TestHarnessSeeds(t *testing.T) {
 		}
 		if len(h.Accesses()) == 0 {
 			t.Fatalf("seed %d performed no accesses", i)
+		}
+	}
+}
+
+// TestCoherenceLedgerCatchesSkippedInvalidation: a guest page escapes
+// to a fresh frame. When the harness skips the escape's INVLPG, a sweep
+// of the paged region evicts the stale entry from both MMUs, so the
+// re-access walks to the new frame and agrees with the oracle; only the
+// ledger can tell that the page moved without an invalidation. With the
+// INVLPG in place the same stream passes.
+func TestCoherenceLedgerCatchesSkippedInvalidation(t *testing.T) {
+	// Paged 2D translation (VMM segment off, guest segment emptied),
+	// then one access to primary-region page 5, demand-paged.
+	prefix := []byte{flagPlainOnly, opToggleVMM, opResize, 0, opAccess, 0, 5}
+	rest := []byte{flagPlainOnly, opEscGuest, 5}
+	for i := 0; i < pagedPages; i++ {
+		rest = append(rest, opAccess, byte(2|i>>8<<2), byte(i))
+	}
+	rest = append(rest, opAccess, 0, 5)
+	for _, skip := range []int{0, 1} {
+		h, err := NewHarness()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Run(prefix); err != nil {
+			t.Fatal(err)
+		}
+		h.skipInvalidations = skip
+		err = h.Run(rest)
+		switch {
+		case skip == 0 && err != nil:
+			t.Fatalf("stream with the INVLPG failed: %v", err)
+		case skip == 1 && (err == nil || !strings.Contains(err.Error(), "coherence ledger")):
+			t.Fatalf("skipped INVLPG not caught by the ledger: %v", err)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func namedSeeds() []namedSeed {
 		{"seed-nested-2m", seedNestedHuge(flagMonotone | flagNested2M)},
 		{"seed-nested-1g", seedNestedHuge(flagNested1G)},
 		{"seed-multi-process", seedMultiProcess()},
-		{"seed-memo-churn", seedMemoChurn()},
+		{"seed-coherence-churn", seedCoherenceChurn()},
 		{"seed-flat-nested", seedFlatNested()},
 	}
 }
@@ -227,19 +227,18 @@ func seedFlatNested() []byte {
 	return b
 }
 
-// seedMemoChurn drives the fused-eligible configuration (unsegmented
-// nested paging) through every miss-memo invalidation source while
-// re-touching a small page set hot enough to keep recorded entries
-// live: full flushes, INVPCID, tagged and untagged context switches,
-// single-page INVLPG of the hot pages, segment re-enable/disable and
-// flat-walk flips. The harness runs with SetMemoCheck on, so a memo
-// entry surviving any of these operations stale is a panic, not a
-// silent wrong record.
-func seedMemoChurn() []byte {
+// seedCoherenceChurn drives unsegmented nested paging through every
+// invalidation source while re-touching a small page set hot enough to
+// stay cached between them: full flushes, INVPCID, tagged and untagged
+// context switches, single-page INVLPG of the hot pages, segment
+// re-enable/disable and flat-walk flips. Every re-touch is checked
+// against the TLB-coherence ledger, so a PCID slot handed to the other
+// process without a flush (its pages resolve to different frames under
+// the same tag) fails the run even when the TLBs have evicted them.
+func seedCoherenceChurn() []byte {
 	b := []byte{flagPlainOnly}
 	// Drop both segments: VMM toggle off, guest segment resized to zero
-	// pages. From here the pressure stack's misses take the fused path
-	// and the memo records/verifies each one.
+	// pages. From here both stacks' misses take the full 2D walk.
 	b = append(b, opToggleVMM, opResize, 0)
 	touch := func(k int) {
 		for i := 0; i < 6; i++ {
@@ -264,14 +263,14 @@ func seedMemoChurn() []byte {
 		b = append(b, opSub, subSwitch, byte(i+1))
 		touch(i + 5)
 		b = append(b,
-			opResize, 64, // re-cover: gate off, memo cold
+			opResize, 64, // re-cover: segment path, ledger cleared
 			opAccess, 0, byte(i*7),
-			opResize, 0, // uncover: gate back on
+			opResize, 0, // uncover: paged again
 		)
 		touch(i + 6)
-		b = append(b, opSub, subToggleFlat) // flat: gate off
+		b = append(b, opSub, subToggleFlat) // flat walker
 		touch(i + 7)
-		b = append(b, opSub, subToggleFlat) // back: gate on, epoch moved
+		b = append(b, opSub, subToggleFlat) // back to the base 2D walk
 		touch(i + 8)
 	}
 	return b

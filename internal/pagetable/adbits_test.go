@@ -18,7 +18,7 @@ func TestAccessedBitSetByWalk(t *testing.T) {
 	if was {
 		t.Error("fresh mapping already accessed")
 	}
-	if _, _, _, ok := tbl.Walk(0x1234, nil); !ok {
+	if _, _, _, ok := tbl.WalkFrom(0x1234, 0, nil); !ok {
 		t.Fatal("walk failed")
 	}
 	was, _ = tbl.Accessed(0x1000, true)

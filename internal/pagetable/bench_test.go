@@ -27,7 +27,7 @@ func BenchmarkWalk4K(b *testing.B) {
 	var refs []Ref
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, refs, _ = t.Walk(uint64(i%4096)<<12, refs[:0])
+		_, _, refs, _ = t.WalkFrom(uint64(i%4096)<<12, 0, refs[:0])
 	}
 }
 

@@ -72,7 +72,7 @@ func (n *node) setChild(idx uint, child *node) {
 	n.used++
 }
 
-// wcEntry is one walk-cache slot: a host-side shortcut for Walk, keyed
+// wcEntry is one walk-cache slot: a host-side shortcut for walks, keyed
 // by a 2M-aligned va prefix whose path down to a PT (level-3) node has
 // been descended before. Because the three interior PTE addresses are a
 // pure function of the prefix, a cached walk re-emits them verbatim and
@@ -292,47 +292,31 @@ type Ref struct {
 	Level int
 }
 
-// Walk translates va, recording each memory reference in refs (appended
-// to the provided buffer to avoid per-walk allocation). On success it
-// returns the physical address, the mapping's page size, and refs.
-// A translation failure returns ok=false with the references performed
+// WalkFrom translates va, appending each memory reference to refs (a
+// caller-provided buffer, to avoid per-walk allocation). On success it
+// returns the physical address, the mapping's page size, and refs. A
+// translation failure returns ok=false with the references performed
 // before the walk aborted — real walkers touch memory before faulting.
-func (t *Table) Walk(va uint64, refs []Ref) (pa uint64, s addr.PageSize, out []Ref, ok bool) {
-	return t.WalkFrom(va, 0, refs)
-}
-
-// WalkFrom is Walk with a paging-structure-cache skip applied at the
-// source: the descent still reads (and accessed-marks) every level, but
-// references for levels below skip are not emitted — except the walk's
-// final reference (the leaf, or the faulting level), which is always
-// emitted, so the result equals Walk's refs[min(skip, len(refs)-1):]
-// exactly without materializing the skipped prefix.
+//
+// skip applies a paging-structure-cache hint at the source: the descent
+// still reads (and accessed-marks) every level, but references for
+// levels below skip are not emitted — except the walk's final reference
+// (the leaf, or the faulting level), which is always emitted, so the
+// result is the full walk's refs[min(skip, len(refs)-1):] without
+// materializing the skipped prefix. skip 0 emits the whole walk.
 func (t *Table) WalkFrom(va uint64, skip int, refs []Ref) (pa uint64, s addr.PageSize, out []Ref, ok bool) {
 	// Walk-cache fast path: a previous walk of this 2M prefix reached a
-	// PT node. Its three interior PTE addresses are a pure function of
-	// the prefix, so only the PT entry itself is read live. The entry
-	// word is re-read on every walk, so concurrent Map/Remap edits are
-	// observed; only page-freeing operations invalidate (via gen).
-	e := &t.wc[va>>21&wcMask]
-	if e.tag == va>>21 && e.gen == t.gen {
-		n := e.pt
-		idx := va >> addr.PageShift4K & (addr.EntriesPerTable - 1)
-		if skip > addr.LvlPT {
-			skip = addr.LvlPT
+	// PT node holding a present leaf for va. A cached prefix whose leaf
+	// is absent takes the full descent below, which passes through the
+	// same nodes and emits the same references before faulting.
+	if fp, hit := t.Probe4K(va); hit {
+		pa, addrs, n := fp.Emit(va, skip)
+		lvl := addr.LvlPT + 1 - n
+		for _, a := range addrs[:n] {
+			refs = append(refs, Ref{Addr: a, Level: lvl})
+			lvl++
 		}
-		for lvl := skip; lvl < addr.LvlPT; lvl++ {
-			refs = append(refs, Ref{Addr: e.refs[lvl], Level: lvl})
-		}
-		refs = append(refs, Ref{Addr: n.frame<<addr.PageShift4K + idx*8, Level: addr.LvlPT})
-		w := n.words[idx]
-		if w&peP == 0 {
-			return 0, 0, refs, false
-		}
-		if w&peA == 0 {
-			n.words[idx] = w | peA
-		}
-		return w>>peShift<<addr.PageShift4K + va&(addr.PageSize4K-1),
-			addr.Page4K, refs, true
+		return pa, addr.Page4K, refs, true
 	}
 
 	n := t.root
@@ -386,8 +370,7 @@ func (t *Table) WalkFrom(va uint64, skip int, refs []Ref) (pa uint64, s addr.Pag
 				// Remember the path for subsequent walks in this 2M span.
 				// Only 4K-leaf paths are cached: they are the only ones
 				// whose interior shape the fast path can assume.
-				*e = wcEntry{tag: va >> 21, gen: t.gen, pt: n}
-				e.refs = interior
+				t.wc[va>>21&wcMask] = wcEntry{tag: va >> 21, gen: t.gen, pt: n, refs: interior}
 			}
 			return base + addr.Offset(va, s), s, refs, true
 		}
@@ -395,43 +378,6 @@ func (t *Table) WalkFrom(va uint64, skip int, refs []Ref) (pa uint64, s addr.Pag
 		n = n.kids[idx]
 	}
 	panic("pagetable: walk fell off the tree")
-}
-
-// WalkFast attempts the walk-cache fast path only: if the 2M prefix's
-// PT node is cached, current, and holds a present leaf for va, it
-// performs the cached walk — emitting references for levels ≥ skipOf()
-// plus the leaf — and returns fast=true. Otherwise it touches nothing
-// and returns fast=false for the caller to fall back to Walk.
-//
-// skipOf runs only once success is guaranteed, so a skip source that
-// must not be probed on walks that fault (the nested PWC, whose LRU
-// state a fault-path probe would perturb) can be deferred into it: a
-// fast walk cannot fault, making probe-before-emit observationally
-// identical to probe-after-walk.
-func (t *Table) WalkFast(va uint64, skipOf func() int, refs []Ref) (pa uint64, s addr.PageSize, out []Ref, fast bool) {
-	e := &t.wc[va>>21&wcMask]
-	if e.tag != va>>21 || e.gen != t.gen {
-		return 0, 0, refs, false
-	}
-	n := e.pt
-	idx := va >> addr.PageShift4K & (addr.EntriesPerTable - 1)
-	w := n.words[idx]
-	if w&peP == 0 {
-		return 0, 0, refs, false
-	}
-	skip := skipOf()
-	if skip > addr.LvlPT {
-		skip = addr.LvlPT
-	}
-	for lvl := skip; lvl < addr.LvlPT; lvl++ {
-		refs = append(refs, Ref{Addr: e.refs[lvl], Level: lvl})
-	}
-	refs = append(refs, Ref{Addr: n.frame<<addr.PageShift4K + idx*8, Level: addr.LvlPT})
-	if w&peA == 0 {
-		n.words[idx] = w | peA
-	}
-	return w>>peShift<<addr.PageShift4K + va&(addr.PageSize4K-1),
-		addr.Page4K, refs, true
 }
 
 // FastProbe is a handle to a confirmed 4K-leaf walk-cache path,
@@ -469,7 +415,7 @@ func (t *Table) Probe4K(va uint64) (FastProbe, bool) {
 // addresses for levels [skip, LvlPT] in walk order (fixed array, no
 // slice traffic), the leaf accessed-bit store-on-flip, and the
 // translated physical address — identical modeled behaviour to
-// WalkFast with the same skip.
+// WalkFrom with the same skip.
 func (f FastProbe) Emit(va uint64, skip int) (pa uint64, refs [addr.Levels]uint64, n int) {
 	if skip > addr.LvlPT {
 		skip = addr.LvlPT
@@ -486,7 +432,7 @@ func (f FastProbe) Emit(va uint64, skip int) (pa uint64, refs [addr.Levels]uint6
 	return f.w>>peShift<<addr.PageShift4K + va&(addr.PageSize4K-1), refs, n
 }
 
-// Translate is Walk without reference recording, for software paths
+// Translate is WalkFrom without reference recording, for software paths
 // (fault handlers, page sharing scans) that don't model hardware cost.
 func (t *Table) Translate(va uint64) (pa uint64, s addr.PageSize, ok bool) {
 	n := t.root

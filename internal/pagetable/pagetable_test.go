@@ -24,7 +24,7 @@ func TestMapWalk4K(t *testing.T) {
 	if err := tbl.Map(0x7f0000001000, 0x2000, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
-	pa, s, refs, ok := tbl.Walk(0x7f0000001234, nil)
+	pa, s, refs, ok := tbl.WalkFrom(0x7f0000001234, 0, nil)
 	if !ok {
 		t.Fatal("walk failed")
 	}
@@ -49,7 +49,7 @@ func TestWalkReferenceAddressesAreDistinctTablePages(t *testing.T) {
 	if err := tbl.Map(0x1000, 0x5000, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
-	_, _, refs, ok := tbl.Walk(0x1000, nil)
+	_, _, refs, ok := tbl.WalkFrom(0x1000, 0, nil)
 	if !ok || len(refs) != 4 {
 		t.Fatal("walk shape wrong")
 	}
@@ -73,14 +73,14 @@ func TestMapWalk2M1G(t *testing.T) {
 	if err := tbl.Map(0x200000, 0x600000, addr.Page2M); err != nil {
 		t.Fatal(err)
 	}
-	pa, s, refs, ok := tbl.Walk(0x40000000+12345, nil)
+	pa, s, refs, ok := tbl.WalkFrom(0x40000000+12345, 0, nil)
 	if !ok || pa != 0x80000000+12345 || s != addr.Page1G {
 		t.Errorf("1G walk: pa=%#x s=%v ok=%v", pa, s, ok)
 	}
 	if len(refs) != 2 {
 		t.Errorf("1G walk made %d refs, want 2", len(refs))
 	}
-	pa, s, refs, ok = tbl.Walk(0x200000+999, nil)
+	pa, s, refs, ok = tbl.WalkFrom(0x200000+999, 0, nil)
 	if !ok || pa != 0x600000+999 || s != addr.Page2M {
 		t.Errorf("2M walk: pa=%#x s=%v ok=%v", pa, s, ok)
 	}
@@ -126,7 +126,7 @@ func TestOverlapRejected(t *testing.T) {
 
 func TestWalkMissRecordsPartialRefs(t *testing.T) {
 	tbl, _ := newTable(t)
-	_, _, refs, ok := tbl.Walk(0xdead000, nil)
+	_, _, refs, ok := tbl.WalkFrom(0xdead000, 0, nil)
 	if ok {
 		t.Fatal("walk of unmapped va succeeded")
 	}
@@ -138,7 +138,7 @@ func TestWalkMissRecordsPartialRefs(t *testing.T) {
 	if err := tbl.Map(0x1000, 0x1000, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
-	_, _, refs, ok = tbl.Walk(0x3000, nil)
+	_, _, refs, ok = tbl.WalkFrom(0x3000, 0, nil)
 	if ok || len(refs) != 4 {
 		t.Errorf("near-miss walk: ok=%v refs=%d, want 4 refs then fault", ok, len(refs))
 	}
@@ -214,7 +214,7 @@ func TestTranslateMatchesWalk(t *testing.T) {
 	}
 	for _, x := range ms {
 		p1, s1, ok1 := tbl.Translate(x.va + 7)
-		p2, s2, _, ok2 := tbl.Walk(x.va+7, nil)
+		p2, s2, _, ok2 := tbl.WalkFrom(x.va+7, 0, nil)
 		if !ok1 || !ok2 || p1 != p2 || s1 != s2 {
 			t.Fatalf("Translate/Walk disagree at %#x", x.va)
 		}
@@ -389,5 +389,64 @@ func TestAllocatorExhaustionSurfaces(t *testing.T) {
 	// Root took 1 frame; mapping needs 3 more intermediate pages.
 	if err := tbl.Map(0x1000, 0x1000, addr.Page4K); err == nil {
 		t.Error("map with exhausted allocator succeeded")
+	}
+}
+
+// TestWalkFromSkipAndWalkCache pins WalkFrom's two promises: a skip
+// emits exactly the full walk's refs[min(skip, len-1):], and a walk
+// served by the walk cache (Probe4K/Emit) equals the cold descent —
+// including a cached prefix whose leaf is absent, which must fault with
+// the same references.
+func TestWalkFromSkipAndWalkCache(t *testing.T) {
+	tbl, _ := newTable(t)
+	if err := tbl.Map(0x400000, 0x9000, addr.Page4K); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Map(0x40000000, 0x200000, addr.Page2M); err != nil {
+		t.Fatal(err)
+	}
+	type walk struct {
+		pa   uint64
+		s    addr.PageSize
+		refs []Ref
+		ok   bool
+	}
+	do := func(va uint64, skip int) walk {
+		pa, s, refs, ok := tbl.WalkFrom(va, skip, nil)
+		return walk{pa, s, refs, ok}
+	}
+	same := func(a, b walk) bool {
+		if a.pa != b.pa || a.s != b.s || a.ok != b.ok || len(a.refs) != len(b.refs) {
+			return false
+		}
+		for i := range a.refs {
+			if a.refs[i] != b.refs[i] {
+				return false
+			}
+		}
+		return true
+	}
+	// 4K leaf (cold, then cached), absent leaf under the cached PT,
+	// 2M leaf, and an unmapped PD entry.
+	for _, va := range []uint64{0x400123, 0x401000, 0x40012345, 0x80000000} {
+		full := do(va, 0)
+		if again := do(va, 0); !same(full, again) {
+			t.Fatalf("va %#x: cached walk %+v, cold walk %+v", va, again, full)
+		}
+		for skip := 0; skip <= addr.Levels; skip++ {
+			want := full
+			want.refs = full.refs[min(skip, len(full.refs)-1):]
+			if got := do(va, skip); !same(got, want) {
+				t.Fatalf("va %#x skip %d: %+v, want %+v", va, skip, got, want)
+			}
+		}
+		if fp, hit := tbl.Probe4K(va); hit != (full.ok && full.s == addr.Page4K) {
+			t.Fatalf("va %#x: Probe4K hit=%v for walk %+v", va, hit, full)
+		} else if hit {
+			pa, refs, n := fp.Emit(va, 1)
+			if pa != full.pa || n != 3 || refs[0] != full.refs[1].Addr || refs[2] != full.refs[3].Addr {
+				t.Fatalf("va %#x: Emit (%#x, %v, %d) disagrees with %+v", va, pa, refs, n, full)
+			}
+		}
 	}
 }
