@@ -55,8 +55,8 @@ func TestObservedMatchesUnobserved(t *testing.T) {
 		if or != ur || !reflect.DeepEqual(of, uf) {
 			t.Fatalf("gva %#x: observed (%+v, %v), unobserved (%+v, %v)", gva, or, of, ur, uf)
 		}
-		if os, us := sides[0].e.m.Stats(), sides[1].e.m.Stats(); os != us {
-			t.Fatalf("gva %#x: stats diverge:\nobserved:   %+v\nunobserved: %+v", gva, os, us)
+		if ost, ust := sides[0].e.m.Stats(), sides[1].e.m.Stats(); ost != ust {
+			t.Fatalf("gva %#x: stats diverge:\nobserved:   %+v\nunobserved: %+v", gva, ost, ust)
 		}
 		return of
 	}

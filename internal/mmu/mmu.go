@@ -588,7 +588,7 @@ func (m *MMU) beginWalk() walkObs {
 }
 
 // endWalk is the one observation site of every page walk — native,
-// 2D, flat and fused alike. The telemetry probe sees the walk's
+// 2D and flat alike. The telemetry probe sees the walk's
 // reference and cycle deltas, faulting or not; a sampled walk records
 // the class and size the walker left in walkClass/walkSize, or refunds
 // its tick when it faulted (the retry after service is what gets
@@ -671,9 +671,9 @@ func (m *MMU) nativeWalk(va uint64, cycles uint64) (uint64, uint64, *Fault) {
 // consumes them. A non-nil fault (nested dimension failed mid-walk)
 // takes precedence over !ok at the caller.
 func (m *MMU) walkGuestTable(va uint64, cycles *uint64, nested bool) (pa uint64, size addr.PageSize, ok bool, fault *Fault) {
-	// The PWC is probed before the walk (it always was probed, success
-	// or fault) so the walk emits only the references the charging loop
-	// below reads, plus the leaf (or faulting) one.
+	// The PWC is probed before the walk, on success and fault alike, so
+	// the walk emits only the references the charging loop below reads,
+	// plus the leaf (or faulting) one.
 	skip := 0
 	if !m.cfg.DisablePWC {
 		skip = m.pwc.SkipLevel(va)
@@ -685,7 +685,7 @@ func (m *MMU) walkGuestTable(va uint64, cycles *uint64, nested bool) (pa uint64,
 	var n int
 	leaf := addr.LvlPT
 	if fp, hit := m.gPT.Probe4K(va); hit {
-		pa, refs, n = fp.Emit(va, skip)
+		pa, n = fp.Emit(va, skip, &refs)
 		size, ok = addr.Page4K, true
 	} else {
 		pa, size, m.refBuf, ok = m.gPT.WalkFrom(va, skip, m.refBuf[:0])
@@ -761,25 +761,25 @@ func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize
 		if !m.cfg.DisablePWC {
 			skip = m.npwc.SkipLevel(gpa)
 		}
-		hpa, refs, n = fp.Emit(gpa, skip)
+		hpa, n = fp.Emit(gpa, skip, &refs)
 	} else {
-		// The nested buffer is separate from the guest one, which is live
-		// while a 2D walk translates its table references through here.
+		// The nested buffer is separate from the guest one, which the flat
+		// walker still reads while it translates table references here.
 		var ok bool
 		hpa, nsize, m.nrefBuf, ok = m.nPT.WalkFrom(gpa, 0, m.nrefBuf[:0])
-		walked := m.nrefBuf
 		if !ok {
 			m.stats.NestedFaults++
 			return 0, 0, &Fault{Kind: FaultNested, Addr: gpa}
 		}
+		last := len(m.nrefBuf) - 1
 		if !m.cfg.DisablePWC {
-			skip = min(m.npwc.SkipLevel(gpa), len(walked)-1)
+			skip = min(m.npwc.SkipLevel(gpa), last)
 		}
-		for _, ref := range walked[skip:] {
+		for _, ref := range m.nrefBuf[skip:] {
 			refs[n] = ref.Addr
 			n++
 		}
-		leaf = walked[len(walked)-1].Level
+		leaf = m.nrefBuf[last].Level
 	}
 	m.stats.WalkMemRefs += uint64(n)
 	cyc := *cycles

@@ -353,9 +353,8 @@ func TestInvalidatePageCrossASID(t *testing.T) {
 // TestTranslateBlockThrashSampled repeats the thrash differential with
 // period-1 walkprof samplers installed on both stacks and requires the
 // two sample streams to be element-wise identical — VPN, size, class,
-// refs, cycles, and ASID per miss, in order. A sampler disables the
-// fused-walk gate, so this variant also pins that the *unfused* batched
-// path replays exactly under eviction pressure.
+// refs, cycles, and ASID per miss, in order: sampled misses must
+// replay exactly under eviction pressure, per event and in blocks.
 func TestTranslateBlockThrashSampled(t *testing.T) {
 	script := thrashScript()
 

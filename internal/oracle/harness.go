@@ -116,10 +116,10 @@ type Harness struct {
 	// ledgers[i] is mmus[i]'s TLB-coherence ledger: the host frame each
 	// (ASID, 4K gVA page) last resolved to since its last invalidation.
 	ledgers [2]map[ledgerKey]uint64
-	// skipInvalidations, when positive, makes invalidate drop that many
-	// upcoming invalidations entirely (MMUs and ledgers alike): tests
-	// model an OS that forgets one and check the ledger catches it.
-	skipInvalidations int
+	// skipINVLPGs, when positive, makes invalidatePage drop that many
+	// upcoming INVLPGs (MMUs and ledgers alike): tests model an OS that
+	// forgets one and check the ledger catches it.
+	skipINVLPGs int
 
 	vmmRegs segment.Registers // full-guest VMM segment registers
 	primGPA uint64            // gPA backing PrimBase
@@ -508,10 +508,6 @@ type ledgerKey struct {
 // it applies op to both MMUs and drops from both ledgers every entry
 // drop selects (nil drops them all).
 func (h *Harness) invalidate(op func(m *mmu.MMU), drop func(k ledgerKey) bool) {
-	if h.skipInvalidations > 0 {
-		h.skipInvalidations--
-		return
-	}
 	for i, m := range h.mmus {
 		op(m)
 		if drop == nil {
@@ -529,6 +525,10 @@ func (h *Harness) invalidate(op func(m *mmu.MMU), drop func(k ledgerKey) bool) {
 // invalidatePage is INVLPG of the mapping of size s covering va. It is
 // ASID-blind, so the span drops out of the ledgers under every ASID.
 func (h *Harness) invalidatePage(va uint64, s addr.PageSize) {
+	if h.skipINVLPGs > 0 {
+		h.skipINVLPGs--
+		return
+	}
 	base := addr.PageBase(va, s)
 	first, end := base>>addr.PageShift4K, (base+s.Bytes())>>addr.PageShift4K
 	h.invalidate(func(m *mmu.MMU) { m.InvalidatePage(base, s) },

@@ -146,7 +146,7 @@ func TestCoherenceLedgerCatchesSkippedInvalidation(t *testing.T) {
 		if err := h.Run(prefix); err != nil {
 			t.Fatal(err)
 		}
-		h.skipInvalidations = skip
+		h.skipINVLPGs = skip
 		err = h.Run(rest)
 		switch {
 		case skip == 0 && err != nil:

@@ -310,7 +310,8 @@ func (t *Table) WalkFrom(va uint64, skip int, refs []Ref) (pa uint64, s addr.Pag
 	// is absent takes the full descent below, which passes through the
 	// same nodes and emits the same references before faulting.
 	if fp, hit := t.Probe4K(va); hit {
-		pa, addrs, n := fp.Emit(va, skip)
+		var addrs [addr.Levels]uint64
+		pa, n := fp.Emit(va, skip, &addrs)
 		lvl := addr.LvlPT + 1 - n
 		for _, a := range addrs[:n] {
 			refs = append(refs, Ref{Addr: a, Level: lvl})
@@ -412,11 +413,11 @@ func (t *Table) Probe4K(va uint64) (FastProbe, bool) {
 }
 
 // Emit completes the fast walk the handle confirmed: reference
-// addresses for levels [skip, LvlPT] in walk order (fixed array, no
-// slice traffic), the leaf accessed-bit store-on-flip, and the
-// translated physical address — identical modeled behaviour to
-// WalkFrom with the same skip.
-func (f FastProbe) Emit(va uint64, skip int) (pa uint64, refs [addr.Levels]uint64, n int) {
+// addresses for levels [skip, LvlPT] written to refs[:n] in walk order
+// (a caller-owned fixed array, no slice traffic), the leaf accessed-bit
+// store-on-flip, and the translated physical address — identical
+// modeled behaviour to WalkFrom with the same skip.
+func (f FastProbe) Emit(va uint64, skip int, refs *[addr.Levels]uint64) (pa uint64, n int) {
 	if skip > addr.LvlPT {
 		skip = addr.LvlPT
 	}
@@ -429,7 +430,7 @@ func (f FastProbe) Emit(va uint64, skip int) (pa uint64, refs [addr.Levels]uint6
 	if f.w&peA == 0 {
 		f.nd.words[f.idx] = f.w | peA
 	}
-	return f.w>>peShift<<addr.PageShift4K + va&(addr.PageSize4K-1), refs, n
+	return f.w>>peShift<<addr.PageShift4K + va&(addr.PageSize4K-1), n
 }
 
 // Translate is WalkFrom without reference recording, for software paths

@@ -443,7 +443,8 @@ func TestWalkFromSkipAndWalkCache(t *testing.T) {
 		if fp, hit := tbl.Probe4K(va); hit != (full.ok && full.s == addr.Page4K) {
 			t.Fatalf("va %#x: Probe4K hit=%v for walk %+v", va, hit, full)
 		} else if hit {
-			pa, refs, n := fp.Emit(va, 1)
+			var refs [addr.Levels]uint64
+			pa, n := fp.Emit(va, 1, &refs)
 			if pa != full.pa || n != 3 || refs[0] != full.refs[1].Addr || refs[2] != full.refs[3].Addr {
 				t.Fatalf("va %#x: Emit (%#x, %v, %d) disagrees with %+v", va, pa, refs, n, full)
 			}

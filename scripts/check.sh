@@ -23,8 +23,9 @@
 # internal/oracle's reference model fails fast, before the long suites.
 # covergate.sh then holds the translation-critical packages to their
 # recorded statement-coverage floors, and benchgate.sh holds the
-# cell-throughput and TLB-probe benchmarks to within 10% of their
-# recorded ns/op baselines.
+# cell-throughput, TLB-probe, sampled-cell and host-quantum benchmarks
+# to within 10% of the base revision's, measured side by side on this
+# machine.
 set -eu
 cd "$(dirname "$0")/.."
 unformatted=$(gofmt -l .)
