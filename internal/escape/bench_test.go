@@ -20,3 +20,21 @@ func BenchmarkMayContainMiss(b *testing.B) {
 		f.MayContain(uint64(i) + 1<<40)
 	}
 }
+
+// BenchmarkMayContainHit probes a saturated filter, so every probe
+// tests all four banks, as escape probes do on a churned host.
+func BenchmarkMayContainHit(b *testing.B) {
+	f := New(1)
+	for i := uint64(0); i < 1024; i++ {
+		f.Insert(i * 7919)
+	}
+	if f.PopCount() != FilterBits {
+		b.Fatalf("filter not saturated: %d of %d bits set", f.PopCount(), FilterBits)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !f.MayContain(uint64(i)) {
+			b.Fatal("saturated filter missed")
+		}
+	}
+}

@@ -33,12 +33,12 @@ const (
 type Filter struct {
 	// banks[h] holds bank h's bits, packed in uint64 words.
 	banks [][]uint64
-	// rows: for each hash function and each input bit, a bank index —
-	// the H3 construction (XOR of rows selected by set input bits).
-	rows     [][inputBits]uint16
+	// lanes folds the H3 matrices into per-nibble XOR tables: entry
+	// [n][v] is the XOR of the rows selected by value v in input nibble
+	// n, with hash h's bank index in bits [16h, 16h+16).
+	lanes    [inputBits / 4][16]uint64
 	bankBits uint
 	inserts  int
-	gen      uint64
 }
 
 // New creates the paper's 256-bit 4-hash filter; its H3 matrices derive
@@ -46,57 +46,63 @@ type Filter struct {
 func New(seed uint64) *Filter { return NewSized(FilterBits, NumHashes, seed) }
 
 // NewSized creates a filter of totalBits partitioned over hashes banks
-// (totalBits/hashes must be a power of two), for sizing studies.
+// (totalBits/hashes must be a power of two), for sizing studies. At most
+// four hashes fit the packed lane tables.
 func NewSized(totalBits, hashes int, seed uint64) *Filter {
-	if hashes <= 0 || totalBits <= 0 || totalBits%hashes != 0 {
+	if hashes <= 0 || hashes > NumHashes || totalBits <= 0 || totalBits%hashes != 0 {
 		panic("escape: bad filter geometry")
 	}
 	per := uint(totalBits / hashes)
 	if per&(per-1) != 0 || per > 1<<16 {
 		panic("escape: bank size must be a power of two <= 65536")
 	}
-	f := &Filter{
-		banks:    make([][]uint64, hashes),
-		rows:     make([][inputBits]uint16, hashes),
-		bankBits: per,
-	}
+	f := &Filter{banks: make([][]uint64, hashes), bankBits: per}
 	words := (per + 63) / 64
 	r := trace.NewRand(seed ^ 0xE5CA9EF117E4)
 	for h := 0; h < hashes; h++ {
 		f.banks[h] = make([]uint64, words)
+		// H3 is linear over GF(2): the hash of a nibble value is the XOR
+		// of the rows its set bits select, and the hash of a PFN is the
+		// XOR of its nibbles' hashes.
 		for b := 0; b < inputBits; b++ {
-			f.rows[h][b] = uint16(r.Uint64n(uint64(per)))
+			row := r.Uint64n(uint64(per)) << (16 * uint(h))
+			n, bit := b/4, uint(b%4)
+			for v := range f.lanes[n] {
+				if v&(1<<bit) != 0 {
+					f.lanes[n][v] ^= row
+				}
+			}
 		}
 	}
 	return f
 }
 
-// hash computes the H3 hash for function h over the page frame number.
-func (f *Filter) hash(h int, pfn uint64) uint {
-	var out uint16
-	for b := 0; b < inputBits; b++ {
-		if pfn&(1<<uint(b)) != 0 {
-			out ^= f.rows[h][b]
-		}
+// hashes computes all H3 hashes of the page frame number at once, hash
+// h in lane h; input bits at and above inputBits are ignored.
+func (f *Filter) hashes(pfn uint64) uint64 {
+	var out uint64
+	for n := range f.lanes {
+		out ^= f.lanes[n][pfn>>(4*uint(n))&0xF]
 	}
-	return uint(out)
+	return out
 }
 
 // Insert marks a page frame number as escaped.
 func (f *Filter) Insert(pfn uint64) {
+	x := f.hashes(pfn)
 	for h := range f.banks {
-		bit := f.hash(h, pfn)
+		bit := uint(x >> (16 * uint(h)) & 0xFFFF)
 		f.banks[h][bit/64] |= 1 << (bit % 64)
 	}
 	f.inserts++
-	f.gen++
 }
 
 // MayContain is the hardware probe: true means the page must take the
 // paging path (true member or false positive).
 func (f *Filter) MayContain(pfn uint64) bool {
+	x := f.hashes(pfn)
 	for h := range f.banks {
-		bit := f.hash(h, pfn)
+		bit := uint(x >> (16 * uint(h)) & 0xFFFF)
 		if f.banks[h][bit/64]&(1<<(bit%64)) == 0 {
 			return false
 		}
@@ -112,17 +118,10 @@ func (f *Filter) Clear() {
 		}
 	}
 	f.inserts = 0
-	f.gen++
 }
 
 // Inserts returns how many pages have been inserted.
 func (f *Filter) Inserts() int { return f.inserts }
-
-// Gen returns a monotonic mutation counter: any operation that can
-// change a future MayContain answer (Insert, Clear, LoadBits) bumps
-// it. Consumers that cache decisions derived from filter probes
-// compare generations to detect mutation.
-func (f *Filter) Gen() uint64 { return f.gen }
 
 // Bits serializes the filter contents (context save).
 func (f *Filter) Bits() [][]uint64 {
@@ -147,7 +146,6 @@ func (f *Filter) LoadBits(b [][]uint64) {
 		copy(f.banks[h], b[h])
 	}
 	f.inserts = 0
-	f.gen++
 }
 
 // PopCount returns the number of set bits, a coarse fullness metric.

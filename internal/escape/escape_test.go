@@ -182,7 +182,7 @@ func TestSizedFilters(t *testing.T) {
 }
 
 func TestNewSizedRejectsBadGeometry(t *testing.T) {
-	for _, c := range []struct{ bits, hashes int }{{0, 4}, {256, 0}, {255, 4}, {96, 4}} {
+	for _, c := range []struct{ bits, hashes int }{{0, 4}, {256, 0}, {255, 4}, {96, 4}, {256, 8}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -205,6 +205,21 @@ func TestLoadBitsGeometryMismatchPanics(t *testing.T) {
 	b.LoadBits(a.Bits())
 }
 
+// TestLoadBitsRejectsBankMismatch: the outer geometry check is not
+// enough — a bank of the wrong width must also panic rather than
+// silently truncate the copy.
+func TestLoadBitsRejectsBankMismatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LoadBits accepted a short bank")
+		}
+	}()
+	f := New(7)
+	b := f.Bits()
+	b[0] = b[0][:len(b[0])-1]
+	f.LoadBits(b)
+}
+
 func TestPopCountBounded(t *testing.T) {
 	f := New(11)
 	r := trace.NewRand(12)
@@ -214,5 +229,92 @@ func TestPopCountBounded(t *testing.T) {
 	// 16 inserts x 4 banks sets at most 64 bits.
 	if pc := f.PopCount(); pc > 64 || pc < 4 {
 		t.Errorf("PopCount = %d, want in [4, 64]", pc)
+	}
+}
+
+// refH3 is the bit-serial H3 construction the lane tables fold: per
+// hash, one row per input bit drawn in NewSized's order, XORed over the
+// PFN's set bits below inputBits.
+type refH3 struct {
+	rows  [][inputBits]uint16
+	banks [][]uint64
+}
+
+func newRefH3(totalBits, hashes int, seed uint64) *refH3 {
+	per := uint64(totalBits / hashes)
+	ref := &refH3{rows: make([][inputBits]uint16, hashes), banks: make([][]uint64, hashes)}
+	r := trace.NewRand(seed ^ 0xE5CA9EF117E4)
+	for h := range ref.rows {
+		ref.banks[h] = make([]uint64, (per+63)/64)
+		for b := 0; b < inputBits; b++ {
+			ref.rows[h][b] = uint16(r.Uint64n(per))
+		}
+	}
+	return ref
+}
+
+func (ref *refH3) hash(h int, pfn uint64) uint {
+	var out uint16
+	for b := 0; b < inputBits; b++ {
+		if pfn&(1<<uint(b)) != 0 {
+			out ^= ref.rows[h][b]
+		}
+	}
+	return uint(out)
+}
+
+func (ref *refH3) insert(pfn uint64) {
+	for h := range ref.banks {
+		bit := ref.hash(h, pfn)
+		ref.banks[h][bit/64] |= 1 << (bit % 64)
+	}
+}
+
+func (ref *refH3) mayContain(pfn uint64) bool {
+	for h := range ref.banks {
+		bit := ref.hash(h, pfn)
+		if ref.banks[h][bit/64]&(1<<(bit%64)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestH3TablesMatchBitLoop holds the packed nibble tables to the
+// bit-serial H3 definition: same bank bits after every insert, same
+// answer on every probe, across seeds and sizes from a saturating
+// 64-bit filter to a sparse 2^18-bit one. Half the PFNs carry bits at
+// and above inputBits, which both forms must ignore.
+func TestH3TablesMatchBitLoop(t *testing.T) {
+	const probes = 1 << 17 // x 12 geometries: >1.5M PFNs
+	for _, seed := range []uint64{1, 2, 9} {
+		for _, bits := range []int{64, 256, 1024, 1 << 18} {
+			f, ref := NewSized(bits, NumHashes, seed), newRefH3(bits, NumHashes, seed)
+			r := trace.NewRand(seed*1000 + uint64(bits))
+			hits := 0
+			for i := 0; i < probes; i++ {
+				pfn := r.Uint64()
+				if i%2 == 0 {
+					pfn &= 1<<inputBits - 1
+				}
+				if i%1024 == 0 {
+					f.Insert(pfn)
+					ref.insert(pfn)
+					if !bitsEqual(f.Bits(), ref.banks) {
+						t.Fatalf("seed %d bits %d: banks diverge after inserting %#x", seed, bits, pfn)
+					}
+				}
+				got := f.MayContain(pfn)
+				if got != ref.mayContain(pfn) {
+					t.Fatalf("seed %d bits %d: MayContain(%#x) = %v, reference disagrees", seed, bits, pfn, got)
+				}
+				if got {
+					hits++
+				}
+			}
+			if hits == 0 {
+				t.Errorf("seed %d bits %d: no probe hit; the comparison never saw a true answer", seed, bits)
+			}
+		}
 	}
 }

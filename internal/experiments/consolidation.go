@@ -105,7 +105,7 @@ func runConsolidation(wl, config string, scale Scale, tenants, shards int) (Cons
 		return ConsolidationResult{}, err
 	}
 	spec.Workload = wl
-	class := workload.New(wl, workload.Config{MemoryMB: 1, Ops: 1}).Class()
+	class := classOf(wl)
 
 	// Build every tenant stack serially, in tenant order: construction
 	// allocates from per-tenant hosts, so this is determinism hygiene

@@ -93,30 +93,35 @@ func RunGrid(workloads, configs []string, scale Scale, seed uint64) ([]Row, erro
 
 // RunGridOpts simulates every workload × config cell, fanning cells
 // across the scheduler's worker pool. Each cell builds a fully private
-// stack and derives its seeds from (workload, scale, seed) alone, so
-// rows come back identical — same order, same counters — at any
-// parallelism.
+// stack over its own fork of the workload's trace, which is generated
+// once per grid, and derives its seeds from (workload, scale, seed)
+// alone, so rows come back identical — same order, same counters — at
+// any parallelism.
 func RunGridOpts(cfg sched.Config, workloads, configs []string, scale Scale, seed uint64) ([]Row, error) {
-	type cell struct{ wl, label string }
+	type cell struct {
+		key   traceKey
+		label string
+	}
 	cells := make([]cell, 0, len(workloads)*len(configs))
 	for _, wl := range workloads {
+		key := traceKey{wl, scale.WLConfig(classOf(wl), seed)}
 		for _, label := range configs {
-			cells = append(cells, cell{wl, label})
+			cells = append(cells, cell{key, label})
 		}
 	}
+	traces := shareTraces(len(cells), func(i int) traceKey { return cells[i].key })
 	if cfg.SpanName == nil {
-		cfg.SpanName = func(i int) string { return cells[i].wl + " " + cells[i].label }
+		cfg.SpanName = func(i int) string { return cells[i].key.name + " " + cells[i].label }
 	}
 	return sched.Run(cfg, len(cells), func(i int) (Row, error) {
-		wl, label := cells[i].wl, cells[i].label
+		wl, label := cells[i].key.name, cells[i].label
 		spec, err := ParseConfig(label)
 		if err != nil {
 			return Row{}, err
 		}
-		class := workload.New(wl, workload.Config{MemoryMB: 1, Ops: 1}).Class()
 		spec.Workload = wl
-		spec.WL = scale.WLConfig(class, seed)
-		res, err := Run(spec)
+		spec.WL = cells[i].key.cfg
+		res, err := RunWorkload(spec, traces.fork(cells[i].key))
 		if err != nil {
 			return Row{}, fmt.Errorf("experiments: %s/%s: %w", wl, label, err)
 		}
@@ -173,9 +178,10 @@ func Figure13(scale Scale, trials int, badCounts []int) ([]Fig13Point, error) {
 
 // Figure13Opts is Figure13 under an explicit scheduler configuration.
 // Every trial is an independent cell — the clean baseline and all
-// trials of all workloads run concurrently — and per-trial bad-page
-// seeds are derived from the trial index exactly as the serial loop
-// derived them, so the summary statistics are unchanged.
+// trials of all workloads run concurrently, over forks of one trace per
+// workload — and per-trial bad-page seeds are derived from the trial
+// index exactly as the serial loop derived them, so the summary
+// statistics are unchanged.
 func Figure13Opts(cfg sched.Config, scale Scale, trials int, badCounts []int) ([]Fig13Point, error) {
 	if trials <= 0 {
 		trials = 30
@@ -198,6 +204,9 @@ func Figure13Opts(cfg sched.Config, scale Scale, trials int, badCounts []int) ([
 			}
 		}
 	}
+	wlCfg := scale.WLConfig(workload.BigMemory, 1)
+	key := func(i int) traceKey { return traceKey{cells[i].wl, wlCfg} }
+	traces := shareTraces(len(cells), key)
 	if cfg.SpanName == nil {
 		cfg.SpanName = func(i int) string {
 			c := cells[i]
@@ -214,12 +223,12 @@ func Figure13Opts(cfg sched.Config, scale Scale, trials int, badCounts []int) ([
 			return Result{}, err
 		}
 		spec.Workload = c.wl
-		spec.WL = scale.WLConfig(workload.BigMemory, 1)
+		spec.WL = wlCfg
 		if c.bad > 0 {
 			spec.BadPages = c.bad
 			spec.BadPageSeed = uint64(c.trial + 1)
 		}
-		res, err := Run(spec)
+		res, err := RunWorkload(spec, traces.fork(key(i)))
 		if err != nil {
 			if c.bad == 0 {
 				return Result{}, fmt.Errorf("experiments: clean DD for %s: %w", c.wl, err)

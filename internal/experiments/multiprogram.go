@@ -55,7 +55,7 @@ func MultiprogramStudy(scale Scale, workloads []string, quantum int) ([]Multipro
 }
 
 func runMultiprogram(wl string, scale Scale, quantum int, tagged bool) (float64, uint64, error) {
-	class := workload.New(wl, workload.Config{MemoryMB: 1, Ops: 1}).Class()
+	class := classOf(wl)
 	cfgA := scale.WLConfig(class, 1)
 	cfgB := scale.WLConfig(class, 2)
 	wA := workload.New(wl, cfgA)

@@ -15,7 +15,6 @@ import (
 	"vdirect/internal/mmu"
 	"vdirect/internal/sched"
 	"vdirect/internal/stats"
-	"vdirect/internal/workload"
 )
 
 // SchemeCostTable renders every registered scheme's closed-form walk
@@ -78,27 +77,31 @@ func schemeStudyHardware() mmu.Config {
 // workload through the scheduler's worker pool.
 func SchemesStudy(cfg sched.Config, scale Scale, workloads []string) ([]FlatRow, error) {
 	labels := []string{"4K+4K", "4K+FL"}
-	type cell struct{ wl, label string }
+	type cell struct {
+		key   traceKey
+		label string
+	}
 	cells := make([]cell, 0, len(workloads)*len(labels))
 	for _, wl := range workloads {
+		key := traceKey{wl, scale.WLConfig(classOf(wl), 1)}
 		for _, label := range labels {
-			cells = append(cells, cell{wl, label})
+			cells = append(cells, cell{key, label})
 		}
 	}
+	traces := shareTraces(len(cells), func(i int) traceKey { return cells[i].key })
 	if cfg.SpanName == nil {
-		cfg.SpanName = func(i int) string { return cells[i].wl + " " + cells[i].label + " walker-only" }
+		cfg.SpanName = func(i int) string { return cells[i].key.name + " " + cells[i].label + " walker-only" }
 	}
 	runs, err := sched.Run(cfg, len(cells), func(i int) (Result, error) {
-		wl, label := cells[i].wl, cells[i].label
+		wl, label := cells[i].key.name, cells[i].label
 		spec, err := ParseConfig(label)
 		if err != nil {
 			return Result{}, err
 		}
-		class := workload.New(wl, workload.Config{MemoryMB: 1, Ops: 1}).Class()
 		spec.Workload = wl
-		spec.WL = scale.WLConfig(class, 1)
+		spec.WL = cells[i].key.cfg
 		spec.MMU = schemeStudyHardware()
-		res, err := Run(spec)
+		res, err := RunWorkload(spec, traces.fork(cells[i].key))
 		if err != nil {
 			return Result{}, fmt.Errorf("experiments: schemes study %s/%s: %w", wl, label, err)
 		}

@@ -47,36 +47,36 @@ func ShadowStudyOpts(cfg sched.Config, scale Scale, workloads []string) ([]Shado
 		shadow shadowOutcome
 	}
 	type cell struct {
-		wl    string
+		key   traceKey
 		label string // "4K", "4K+VD", or "" for the shadow run
 	}
 	var cells []cell
 	for _, wl := range workloads {
-		cells = append(cells, cell{wl, "4K"}, cell{wl, "4K+VD"}, cell{wl, ""})
+		key := traceKey{wl, scale.WLConfig(classOf(wl), 1)}
+		cells = append(cells, cell{key, "4K"}, cell{key, "4K+VD"}, cell{key, ""})
 	}
+	traces := shareTraces(len(cells), func(i int) traceKey { return cells[i].key })
 	if cfg.SpanName == nil {
 		cfg.SpanName = func(i int) string {
 			if cells[i].label == "" {
-				return cells[i].wl + " shadow"
+				return cells[i].key.name + " shadow"
 			}
-			return cells[i].wl + " " + cells[i].label
+			return cells[i].key.name + " " + cells[i].label
 		}
 	}
 	runs, err := sched.Run(cfg, len(cells), func(i int) (outcome, error) {
 		c := cells[i]
-		class := workload.New(c.wl, workload.Config{MemoryMB: 1, Ops: 1}).Class()
-		wlCfg := scale.WLConfig(class, 1)
 		if c.label == "" {
-			sh, err := runShadow(c.wl, wlCfg)
+			sh, err := runShadow(traces.fork(c.key))
 			return outcome{shadow: sh}, err
 		}
 		spec, err := ParseConfig(c.label)
 		if err != nil {
 			return outcome{}, err
 		}
-		spec.Workload = c.wl
-		spec.WL = wlCfg
-		res, err := Run(spec)
+		spec.Workload = c.key.name
+		spec.WL = c.key.cfg
+		res, err := RunWorkload(spec, traces.fork(c.key))
 		return outcome{res: res}, err
 	})
 	if err != nil {
@@ -104,8 +104,8 @@ type shadowOutcome struct {
 // runShadow replays a workload under shadow paging: a native-mode MMU
 // walks the shadow table; shadow misses and guest PT updates exit to
 // the VMM.
-func runShadow(wl string, wlCfg workload.Config) (shadowOutcome, error) {
-	w := workload.New(wl, wlCfg)
+func runShadow(w workload.Workload) (shadowOutcome, error) {
+	wl := w.Name()
 	prim := w.PrimaryRegion()
 	guestSize := addr.AlignUp(prim.Size+160<<20, addr.PageSize4K)
 	hostSize := addr.AlignUp(guestSize+guestSize/4+256<<20, addr.PageSize4K)

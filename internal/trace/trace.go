@@ -286,6 +286,15 @@ func (s *Slice) NextBlock(buf []Event) int {
 // Reset implements Generator.
 func (s *Slice) Reset() { s.pos = 0 }
 
+// Fork returns a rewound cursor over the same events. Forks share the
+// event slice, which no Slice method writes, so they may be read from
+// different goroutines.
+func (s *Slice) Fork() *Slice {
+	f := *s
+	f.pos = 0
+	return &f
+}
+
 // WorkingSet implements Generator.
 func (s *Slice) WorkingSet() addr.Range { return s.ws }
 

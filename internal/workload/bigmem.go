@@ -254,6 +254,14 @@ func (g *gupsStream) Class() Class              { return BigMemory }
 func (g *gupsStream) BaseCPI() float64          { return 56 }
 func (g *gupsStream) PrimaryRegion() addr.Range { return g.primary }
 
+// Fork copies the parameters and rewinds the copy; the stream holds no
+// events to share.
+func (g *gupsStream) Fork() Workload {
+	f := *g
+	f.Reset()
+	return &f
+}
+
 func (g *gupsStream) StaticRegions() []addr.Range {
 	return []addr.Range{
 		g.primary,

@@ -92,6 +92,11 @@ type Workload interface {
 	// StaticRegions are all virtual ranges the trace may touch outside
 	// dynamic allocations: the primary region, stack, and churn arena.
 	StaticRegions() []addr.Range
+	// Fork returns an independent, rewound cursor over the same trace.
+	// It shares the generated events rather than regenerating them, so
+	// a fan-out that replays one trace under many configurations
+	// generates it once.
+	Fork() Workload
 }
 
 // Names lists all workloads in the order the paper's figures use.
@@ -157,6 +162,12 @@ var _ trace.BlockGenerator = (*base)(nil)
 func (b *base) Class() Class              { return b.class }
 func (b *base) BaseCPI() float64          { return b.cpi }
 func (b *base) PrimaryRegion() addr.Range { return b.primary }
+
+func (b *base) Fork() Workload {
+	f := *b
+	f.Slice = b.Slice.Fork()
+	return &f
+}
 
 func (b *base) StaticRegions() []addr.Range {
 	return []addr.Range{

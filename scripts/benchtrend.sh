@@ -9,8 +9,13 @@
 #                            TLB-friendly block through the MMU)
 #   - host_quantum_ms:       BenchmarkHostQuantum (one consolidated-
 #                            host policy quantum, 4 guests)
+#   - escape_probe_ns:       BenchmarkMayContainMiss (one escape-filter
+#                            probe that misses)
 #
-# Usage: scripts/benchtrend.sh [label]   (default label: 10, this PR)
+# Each point is stamped with the host it was measured on: CPU model,
+# nproc, GOMAXPROCS and Go version.
+#
+# Usage: scripts/benchtrend.sh <label>
 #
 # Best-of-5 is the same noise-robust statistic benchgate.sh uses; on a
 # shared runner any single run can eat a scheduling spike. Numbers from
@@ -19,7 +24,11 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-label=${1:-10}
+if [ $# -ne 1 ]; then
+    echo "usage: $0 <label>" >&2
+    exit 2
+fi
+label=$1
 out=results/BENCH_$label.json
 mkdir -p results
 
@@ -45,13 +54,24 @@ gups=$(best ./internal/replay/ BenchmarkCellBlock 10x events/sec max)
 tblk=$(best ./internal/mmu/ BenchmarkTranslateBlock 200x ns/op)
 hostq=$(best ./internal/host/ BenchmarkHostQuantum 5x ns/op)
 host_ms=$(awk -v n="$hostq" 'BEGIN{printf "%.2f", n / 1000000}')
+probe=$(best ./internal/escape/ BenchmarkMayContainMiss 1000000x ns/op)
+
+cpu=$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -n 1 | tr -d '"\\')
+cpu=${cpu:-$(uname -m)}
+ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
+gover=$(go env GOVERSION)
 
 cat > "$out" <<EOF
 {
   "pr": "$label",
+  "cpu_model": "$cpu",
+  "nproc": $ncpu,
+  "gomaxprocs": ${GOMAXPROCS:-$ncpu},
+  "go_version": "$gover",
   "gups_events_per_sec": $gups,
   "translate_block_ns_op": $tblk,
-  "host_quantum_ms": $host_ms
+  "host_quantum_ms": $host_ms,
+  "escape_probe_ns": $probe
 }
 EOF
 cat "$out"
