@@ -17,10 +17,10 @@
 //	paperbench -cpuprofile cpu.pb    # profile the replay hot path
 //	paperbench -trace run.json -manifest run-manifest.json
 //	                                 # Chrome trace + run manifest
-//	paperbench -histograms           # per-walk telemetry histograms
 //	paperbench -sample 64 -samples walks.jsonl
 //	                                 # 1-in-64 walk sampling, analyzed
-//	                                 # offline with cmd/walkprof
+//	                                 # offline with cmd/walkprof (exact
+//	                                 # per-walk cost percentiles)
 //	paperbench -only walkprof        # walk-level attribution section
 //	                                 # (auto-enables sampling)
 //	paperbench -only host -shards 4  # whole-host consolidation-density
@@ -63,7 +63,6 @@ func run() (retErr error) {
 		quiet      = flag.Bool("quiet", false, "suppress the cells-done progress line on stderr")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write a post-run heap profile to this file (go tool pprof)")
-		histograms = flag.Bool("histograms", false, "print per-walk telemetry histograms (refs and cycles per mode) after the report")
 	)
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
@@ -93,10 +92,8 @@ func run() (retErr error) {
 		}
 	}
 
-	// The histogram section needs telemetry live even when no -trace or
-	// -manifest path was given; the walkprof section likewise needs
-	// sampling on even when no -sample/-samples flag asked for it.
-	tf.Force = tf.Force || *histograms
+	// The walkprof section needs sampling on even when no
+	// -sample/-samples flag asked for it.
 	if want["walkprof"] && tf.Sample == 0 && tf.SamplesOut == "" {
 		tf.Sample = 64
 	}
@@ -171,10 +168,6 @@ func run() (retErr error) {
 				}
 			}
 		}
-	}
-	if *histograms {
-		fmt.Println(telemetry.Default().Snapshot().
-			HistogramTable("telemetry — per-walk distributions").Render())
 	}
 	fmt.Printf("— paperbench completed in %s at %s scale —\n",
 		time.Since(start).Round(time.Second), *scaleName)

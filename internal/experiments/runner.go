@@ -212,21 +212,13 @@ func replayRun(spec Spec, e *env) (Result, error) {
 	warmupAt := uint64(float64(total) * spec.WarmupFrac)
 	e.w.Reset()
 
-	// Telemetry (all inert when no run is active): a per-cell walk probe
-	// collects every measured walk's refs/cycles into goroutine-local
-	// shards, and the warmup/measure phases each get a trace span. The
-	// probe is reset at the warmup boundary alongside the MMU counters so
-	// the histograms describe exactly the measured interval.
-	var probe *telemetry.WalkProbe
-	if telemetry.Active() {
-		probe = &telemetry.WalkProbe{}
-		e.m.SetWalkProbe(probe)
-	}
+	// Telemetry (inert when no run is active) gives the warmup and
+	// measure phases each a trace span. Per-walk observation is walk
+	// sampling (walkprof): a per-cell sampler owned by this goroutine,
+	// seeded from the workload spec alone so the sample stream is
+	// identical at any -j / -shards setting, committed to the profile
+	// once at completion.
 	cellName := spec.Workload + "/" + spec.Label
-	// Walk sampling (walkprof) rides the same seam: a per-cell sampler
-	// owned by this goroutine, seeded from the workload spec alone so the
-	// sample stream is identical at any -j / -shards setting, committed
-	// to the profile once at completion.
 	var sampler *walkprof.Sampler
 	prof := walkprof.Enabled()
 	if prof != nil {
@@ -252,9 +244,6 @@ func replayRun(spec Spec, e *env) (Result, error) {
 		},
 		Warmup: func() {
 			e.m.ResetStats()
-			if probe != nil {
-				probe.Reset()
-			}
 			if sampler != nil {
 				sampler.Reset()
 			}
@@ -278,13 +267,10 @@ func replayRun(spec Spec, e *env) (Result, error) {
 		Overhead:    perfmodel.Overhead(float64(st.WalkCycles), ideal),
 		Stats:       st,
 	}
-	if probe != nil {
-		// One merge (a handful of atomic adds) per completed cell — the
-		// only point where this cell's telemetry touches shared state.
+	if telemetry.Active() {
+		// A few atomic adds per completed cell — the only point where
+		// this cell's telemetry touches shared state.
 		reg := telemetry.Default()
-		mode := spec.Mode.String()
-		reg.Histogram("walk.refs." + mode).Merge(&probe.Refs)
-		reg.Histogram("walk.cycles." + mode).Merge(&probe.Cycles)
 		reg.Counter("cells").Inc()
 		reg.Counter("accesses.measured").Add(measured)
 		reg.Counter("tlb.l2.evictions").Add(e.m.L2Evictions())

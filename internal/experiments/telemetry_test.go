@@ -41,7 +41,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-func TestTelemetryCollectsWalkMetrics(t *testing.T) {
+func TestTelemetryCollectsCellCounters(t *testing.T) {
 	run := telemetry.StartRun("test", nil, false)
 	defer run.Stop()
 	gridRows(t, 2)
@@ -55,23 +55,6 @@ func TestTelemetryCollectsWalkMetrics(t *testing.T) {
 	}
 	if s.Counters["accesses.measured"] == 0 {
 		t.Error("accesses.measured counter empty")
-	}
-	for _, name := range []string{
-		"walk.refs.Native", "walk.cycles.Native",
-		"walk.refs.BaseVirtualized", "walk.cycles.BaseVirtualized",
-		"walk.refs.DualDirect", "walk.cycles.DualDirect",
-	} {
-		if s.Histograms[name].Count == 0 {
-			t.Errorf("histogram %s empty", name)
-		}
-	}
-	// Native 1D walks take at most 4 page-table references.
-	if max := s.Histograms["walk.refs.Native"].Max; max > 4 {
-		t.Errorf("native walk max refs = %d, want <= 4", max)
-	}
-	// 2D walks may take up to 24.
-	if max := s.Histograms["walk.refs.BaseVirtualized"].Max; max > 24 {
-		t.Errorf("2D walk max refs = %d, want <= 24", max)
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"vdirect/internal/pagetable"
 	"vdirect/internal/ptecache"
 	"vdirect/internal/segment"
-	"vdirect/internal/telemetry"
 	"vdirect/internal/telemetry/walkprof"
 	"vdirect/internal/tlb"
 	"vdirect/internal/trace"
@@ -187,16 +186,11 @@ type MMU struct {
 
 	stats Stats
 
-	// probe, when non-nil, receives per-walk memory-reference and cycle
-	// deltas for telemetry histograms (endWalk). It is single-goroutine
-	// state like the rest of the MMU; nil (the default) costs one nil
-	// check per walk.
-	probe *telemetry.WalkProbe
-
 	// sampler, when non-nil, receives a deterministic 1-in-N sample of
-	// resolved L1 misses (walkprof, the simulated BadgerTrap). Like the
-	// probe it lives entirely on the miss path: disabled sampling costs
-	// one nil check per miss and nothing per L1 hit.
+	// resolved L1 misses (walkprof, the simulated BadgerTrap). It is
+	// single-goroutine state like the rest of the MMU and lives entirely
+	// on the miss path: disabled sampling costs one nil check per miss
+	// and nothing per L1 hit.
 	sampler *walkprof.Sampler
 	// asid is the active address-space tag stamped into samples; it
 	// tracks ContextSwitchASID and stays 0 for single-process cells.
@@ -301,12 +295,6 @@ func (m *MMU) Mode() Mode { return m.scheme.Name() }
 
 // ActiveScheme returns the scheme the register configuration selects.
 func (m *MMU) ActiveScheme() Scheme { return m.scheme }
-
-// SetWalkProbe installs (or, with nil, removes) a per-walk telemetry
-// probe. The probe observes each page walk's memory-reference count and
-// cycle cost as deltas of the MMU's own counters, so it cannot drift
-// from the reported statistics.
-func (m *MMU) SetWalkProbe(p *telemetry.WalkProbe) { m.probe = p }
 
 // SetWalkSampler installs (or, with nil, removes) a walkprof sampler.
 // Every resolved L1 miss — segment fast path, L2 hit, or completed walk
@@ -471,8 +459,8 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 			continue
 		}
 		// Slow path: flush the local counters first so the walk machinery
-		// (and any telemetry probe reading counter deltas) sees exact
-		// stats, exactly as per-event Translate would.
+		// (and a sampled walk's counter deltas) sees exact stats, exactly
+		// as per-event Translate would.
 		m.stats.Accesses += accesses
 		m.stats.L1Hits += l1Hits
 		accesses, l1Hits = 0, 0
@@ -588,22 +576,13 @@ func (m *MMU) beginWalk() walkObs {
 }
 
 // endWalk is the one observation site of every page walk — native,
-// 2D and flat alike. The telemetry probe sees the walk's
-// reference and cycle deltas, faulting or not; a sampled walk records
-// the class and size the walker left in walkClass/walkSize, or refunds
-// its tick when it faulted (the retry after service is what gets
-// sampled). The walkers stay direct calls at their wrappers rather
+// 2D and flat alike. A sampled walk records its reference and cycle
+// deltas with the class and size the walker left in walkClass/walkSize,
+// or refunds its tick when it faulted (the retry after service is what
+// gets sampled). The walkers stay direct calls at their wrappers rather
 // than a function value passed in here, which would allocate on the
 // hot path.
 func (m *MMU) endWalk(o walkObs, gva uint64, fault *Fault) {
-	if m.probe == nil && !o.sampled {
-		return
-	}
-	drefs, dcyc := m.stats.WalkMemRefs-o.refs0, m.stats.WalkCycles-o.cyc0
-	if m.probe != nil {
-		m.probe.Refs.Observe(drefs)
-		m.probe.Cycles.Observe(dcyc)
-	}
 	if !o.sampled {
 		return
 	}
@@ -612,7 +591,8 @@ func (m *MMU) endWalk(o walkObs, gva uint64, fault *Fault) {
 		return
 	}
 	m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-		m.walkSize, m.walkClass, drefs, dcyc, m.asid)
+		m.walkSize, m.walkClass, m.stats.WalkMemRefs-o.refs0,
+		m.stats.WalkCycles-o.cyc0, m.asid)
 }
 
 // walk1D invokes the native 1D walk state machine, charging cycles on

@@ -6,13 +6,12 @@ import (
 
 	"vdirect/internal/addr"
 	"vdirect/internal/segment"
-	"vdirect/internal/telemetry"
 )
 
-// TestWalkProbeObservesEveryWalker installs the telemetry walk probe on
-// each walker wrapper (1D, 2D, flat) and checks every walk is observed
-// with reference deltas matching the MMU's own counters.
-func TestWalkProbeObservesEveryWalker(t *testing.T) {
+// TestSamplerObservesEveryWalker attaches a period-1 sampler to each
+// walker wrapper (1D, 2D, flat) and checks the one cold walk yields one
+// sample whose reference and cycle costs equal the MMU's own counters.
+func TestSamplerObservesEveryWalker(t *testing.T) {
 	cases := []struct {
 		name     string
 		wire     func(e *env)
@@ -32,17 +31,20 @@ func TestWalkProbeObservesEveryWalker(t *testing.T) {
 			e := newEnv(t, 16, coldConfig())
 			e.mapGuest(t, 0x400000, 0x800000, 4)
 			tc.wire(e)
-			probe := &telemetry.WalkProbe{}
-			e.m.SetWalkProbe(probe)
+			s := sampleEverything(e.m)
 			if _, fault := e.m.Translate(0x400123); fault != nil {
 				t.Fatal(fault)
 			}
-			if probe.Refs.Count() != 1 || probe.Cycles.Count() != 1 {
-				t.Fatalf("probe observed %d/%d walks, want 1/1",
-					probe.Refs.Count(), probe.Cycles.Count())
+			if s.Len() != 1 {
+				t.Fatalf("sampler recorded %d walks, want 1", s.Len())
 			}
-			if got := e.m.Stats().WalkMemRefs; got != tc.wantRefs {
-				t.Errorf("walk made %d refs, want %d", got, tc.wantRefs)
+			st, got := e.m.Stats(), s.Samples()[0]
+			if st.WalkMemRefs != tc.wantRefs {
+				t.Errorf("walk made %d refs, want %d", st.WalkMemRefs, tc.wantRefs)
+			}
+			if got.Refs != st.WalkMemRefs || got.Cycles != st.WalkCycles {
+				t.Errorf("sample refs/cycles = %d/%d, Stats %d/%d",
+					got.Refs, got.Cycles, st.WalkMemRefs, st.WalkCycles)
 			}
 		})
 	}

@@ -111,9 +111,10 @@ func BenchmarkTelemetryOverheadOn(b *testing.B) {
 }
 
 // The same comparison with a full simulation cell in the loop: with
-// telemetry on, every page walk feeds the cell's WalkProbe shards and
-// each completed cell merges them into the shared registry. On must
-// stay within 3% of Off; scripts/overheadgate.sh enforces the pair.
+// telemetry on, the cell's warmup and measure phases get trace spans,
+// the replay loop feeds the replay.events meter and each completed cell
+// adds its counters to the shared registry. On must stay within 3% of
+// Off; scripts/overheadgate.sh enforces the pair.
 func BenchmarkTelemetryCellOff(b *testing.B) {
 	if telemetry.Active() {
 		b.Fatal("telemetry unexpectedly active")

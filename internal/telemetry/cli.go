@@ -1,21 +1,20 @@
 // Shared CLI wiring: every cmd binary exposes the same observability
-// flags (-trace, -manifest, -metrics, -listen, -sample, -samples,
-// -version) through Flags, starts a Session after flag parsing, and
-// closes it on exit — including error exits, so a failed run still
-// flushes its trace, manifest, and sample file recording the failure.
+// flags (-trace, -manifest, -listen, -sample, -samples, -version)
+// through Flags, starts a Session after flag parsing, and closes it on
+// exit — including error exits, so a failed run still flushes its
+// trace, manifest, and sample file recording the failure.
 
 package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
+	_ "expvar" // registers /debug/vars on the default mux for -listen
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux for -listen
 	"sync"
-	"time"
 
 	"vdirect/internal/telemetry/walkprof"
 )
@@ -24,7 +23,6 @@ import (
 type Flags struct {
 	Trace    string
 	Manifest string
-	Metrics  string
 	// Listen serves the full observability endpoint (Prometheus
 	// /metrics, JSON /snapshot and /walkprof, net/http/pprof, expvar).
 	Listen string
@@ -34,17 +32,12 @@ type Flags struct {
 	Sample     uint64
 	SamplesOut string
 	Version    bool
-	// Force starts a telemetry run even when no flag asked for one;
-	// binaries set it for options whose output depends on telemetry
-	// being live (e.g. paperbench -histograms).
-	Force bool
 }
 
 // Register installs the flags on fs (flag.CommandLine in the binaries).
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace-event JSON file of scheduler cells, report sections and replay phases (open in chrome://tracing or ui.perfetto.dev)")
 	fs.StringVar(&f.Manifest, "manifest", "", "write a run-manifest JSON file (config, build info, per-cell timings, metric snapshot) to this path")
-	fs.StringVar(&f.Metrics, "metrics", "", "serve live expvar metrics over HTTP on this address (e.g. :8080; see /debug/vars) for long runs")
 	fs.StringVar(&f.Listen, "listen", "", "serve the live observability endpoint on this address: Prometheus text on /metrics, JSON on /snapshot and /walkprof, net/http/pprof and expvar under /debug/")
 	fs.Uint64Var(&f.Sample, "sample", 0, "sample one in N resolved TLB misses into the walk profile (walkprof); 0 disables sampling")
 	fs.StringVar(&f.SamplesOut, "samples", "", "write collected walk samples (JSON lines) to this path at exit; implies -sample 64 when -sample is unset")
@@ -55,7 +48,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 // flags are deliberately absent: walkprof has its own lifecycle and
 // does not need the metrics registry to be live.
 func (f Flags) Enabled() bool {
-	return f.Force || f.Trace != "" || f.Manifest != "" || f.Metrics != "" || f.Listen != ""
+	return f.Trace != "" || f.Manifest != "" || f.Listen != ""
 }
 
 // Sampling reports whether the flags request walkprof sampling, and at
@@ -89,14 +82,6 @@ func (f Flags) Start(tool string, config map[string]string) (*Session, error) {
 		return s, nil
 	}
 	s.run = StartRun(tool, config, f.Trace != "")
-	if f.Metrics != "" {
-		addr, err := serveMetrics(f.Metrics)
-		if err != nil {
-			s.close()
-			return nil, err
-		}
-		fmt.Printf("%s: serving metrics on http://%s/debug/vars\n", tool, addr)
-	}
 	if f.Listen != "" {
 		addr, err := serveObservability(f.Listen)
 		if err != nil {
@@ -157,42 +142,14 @@ func (s *Session) Close(runErr error) error {
 	return first
 }
 
-var expvarOnce sync.Once
-
-// serveMetrics publishes the active run under the expvar key "vdirect"
-// and serves the standard /debug/vars endpoint on addr. The listener
-// lives for the rest of the process — monitoring outlives any one run.
-func serveMetrics(addr string) (string, error) {
-	expvarOnce.Do(func() {
-		expvar.Publish("vdirect", expvar.Func(func() any {
-			r := current.Load()
-			if r == nil {
-				return nil
-			}
-			return struct {
-				Tool     string   `json:"tool"`
-				UptimeMS float64  `json:"uptime_ms"`
-				Metrics  Snapshot `json:"metrics"`
-			}{r.Tool, time.Since(r.StartTime).Seconds() * 1e3, Default().Snapshot()}
-		}))
-	})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("telemetry: metrics listener: %w", err)
-	}
-	// expvar registers /debug/vars on the default mux at init.
-	go http.Serve(ln, nil) //nolint:errcheck // best-effort monitoring endpoint
-	return ln.Addr().String(), nil
-}
-
 var obsOnce sync.Once
 
 // serveObservability serves the full observability surface on addr via
 // the default mux: Prometheus text on /metrics, the registry snapshot
 // as JSON on /snapshot, the live walkprof summary on /walkprof, plus
 // the net/http/pprof and expvar handlers the imports registered under
-// /debug/. Like serveMetrics, the listener lives for the rest of the
-// process.
+// /debug/. The listener lives for the rest of the process — monitoring
+// outlives any one run.
 func serveObservability(addr string) (string, error) {
 	obsOnce.Do(func() {
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -78,10 +78,11 @@ type HostInfo struct {
 }
 
 // ManifestSchemaVersion is the manifest schema this package writes and
-// understands. History: v1 was the unversioned PR 3 shape (implicitly
-// version 0 on disk); v2 adds schema_version itself and the
-// interpolated p50/p95/p99 fields on histogram snapshots.
-const ManifestSchemaVersion = 2
+// understands. History: v1 was the unversioned first shape (version 0
+// on disk); v2 added schema_version itself and interpolated
+// p50/p95/p99 fields on histogram snapshots; v3 drops the histograms,
+// so the metric snapshot holds counters and gauges only.
+const ManifestSchemaVersion = 3
 
 // Manifest is the serialized run record.
 type Manifest struct {

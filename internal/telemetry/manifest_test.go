@@ -1,17 +1,16 @@
 package telemetry
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestManifestGoldenRead pins the v2 manifest shape: the checked-in
+// TestManifestGoldenRead pins the v3 manifest shape: the checked-in
 // golden document must parse, version-check, and surface its fields.
 func TestManifestGoldenRead(t *testing.T) {
-	m, err := ReadManifest(filepath.Join("testdata", "manifest_v2.json"))
+	m, err := ReadManifest(filepath.Join("testdata", "manifest_v3.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,18 +23,14 @@ func TestManifestGoldenRead(t *testing.T) {
 	if m.Metrics.Counters["replay.events"] != 1000000 {
 		t.Errorf("counters = %v", m.Metrics.Counters)
 	}
-	h, ok := m.Metrics.Histograms["walk.refs.Base Virtualized"]
-	if !ok || h.Count != 4096 || h.P50 == 0 {
-		t.Errorf("histogram snapshot = %+v (ok=%v)", h, ok)
-	}
 	if len(m.Timings) != 1 || m.Timings[0].Cat != "cell" {
 		t.Errorf("timings = %+v", m.Timings)
 	}
 }
 
-// TestManifestRejectsUnknownVersions covers the two failure shapes: a
-// pre-versioning document (schema_version absent → 0) and a document
-// from a future writer.
+// TestManifestRejectsUnknownVersions covers the failure shapes: a
+// pre-versioning document (schema_version absent → 0), a v2 document
+// (it carried histograms) and a document from a future writer.
 func TestManifestRejectsUnknownVersions(t *testing.T) {
 	v0 := []byte(`{"tool":"paperbench","args":[],"build":{"go_version":"go1.22.0"},` +
 		`"host":{"os":"linux","arch":"amd64","cpus":1},"start":"2026-08-08T12:00:00Z",` +
@@ -44,6 +39,12 @@ func TestManifestRejectsUnknownVersions(t *testing.T) {
 		t.Error("pre-versioning manifest accepted")
 	} else if !strings.Contains(err.Error(), "schema_version 0") {
 		t.Errorf("v0 error does not name the version: %v", err)
+	}
+	v2 := []byte(`{"schema_version":2,"tool":"paperbench","metrics":{"histograms":{}}}`)
+	if _, err := ParseManifest(v2); err == nil {
+		t.Error("v2 manifest accepted")
+	} else if !strings.Contains(err.Error(), "schema_version 2") {
+		t.Errorf("v2 error does not name the version: %v", err)
 	}
 	future := []byte(`{"schema_version":99,"tool":"paperbench"}`)
 	if _, err := ParseManifest(future); err == nil {
@@ -62,7 +63,6 @@ func TestManifestRejectsUnknownVersions(t *testing.T) {
 func TestManifestWriteReadRoundtrip(t *testing.T) {
 	r := StartRun("test-tool", map[string]string{"k": "v"}, false)
 	Default().Counter("x").Add(3)
-	Default().Histogram("h").Observe(10)
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	if err := r.WriteManifest(path, nil); err != nil {
 		t.Fatal(err)
@@ -78,80 +78,11 @@ func TestManifestWriteReadRoundtrip(t *testing.T) {
 	if m.Metrics.Counters["x"] != 3 {
 		t.Errorf("counters = %v", m.Metrics.Counters)
 	}
-	if h := m.Metrics.Histograms["h"]; h.P50 == 0 {
-		t.Errorf("histogram p50 not serialized: %+v", h)
-	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"schema_version": 2`) {
+	if !strings.Contains(string(raw), `"schema_version": 3`) {
 		t.Error("written manifest lacks schema_version field")
 	}
-}
-
-// TestPercentileInterpolation checks the interpolated accessors against
-// hand-computed values and their documented bounds.
-func TestPercentileInterpolation(t *testing.T) {
-	var h Histogram
-	// 100 samples of 10 (bucket [8,15]) and 100 of 100 (bucket [64,127]).
-	for i := 0; i < 100; i++ {
-		h.Observe(10)
-		h.Observe(100)
-	}
-	snapReg := NewRegistry()
-	snapReg.Histogram("h").Merge(localFrom(&h))
-	v := snapReg.Snapshot().Histograms["h"]
-
-	// p50 lands at the top of the first bucket's occupied span; the
-	// interpolated value must stay within [8,15].
-	if p := v.Percentile(0.50); p < 8 || p > 15 {
-		t.Errorf("p50 = %v, want within [8,15]", p)
-	}
-	// p95 lands in the second bucket, clamped at the exact max 100.
-	if p := v.Percentile(0.95); p < 64 || p > 100 {
-		t.Errorf("p95 = %v, want within [64,100]", p)
-	}
-	if p := v.Percentile(1.0); p != 100 {
-		t.Errorf("p100 = %v, want exact max 100", p)
-	}
-	if v.P50 != v.Percentile(0.50) || v.P95 != v.Percentile(0.95) || v.P99 != v.Percentile(0.99) {
-		t.Error("snapshot P50/P95/P99 fields disagree with Percentile")
-	}
-	// Monotonic in q.
-	prev := 0.0
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		p := v.Percentile(q)
-		if p+1e-9 < prev {
-			t.Fatalf("Percentile not monotonic at q=%v: %v < %v", q, p, prev)
-		}
-		prev = p
-	}
-	if (HistValue{}).Percentile(0.5) != 0 {
-		t.Error("empty histogram percentile != 0")
-	}
-	// Single-value histograms interpolate to that value's bucket, capped
-	// at the max.
-	one := NewRegistry()
-	one.Histogram("o").Observe(7)
-	ov := one.Snapshot().Histograms["o"]
-	if p := ov.Percentile(0.5); p < 4 || p > 7 {
-		t.Errorf("single-value p50 = %v, want within [4,7]", p)
-	}
-	if math.IsNaN(ov.Percentile(0.99)) {
-		t.Error("NaN percentile")
-	}
-}
-
-// localFrom converts a directly-observed histogram into a Local shard
-// so tests can Merge it into a fresh registry histogram.
-func localFrom(h *Histogram) *Local {
-	var l Local
-	for i := 0; i < numBuckets; i++ {
-		l.counts[i] = h.counts[i].Load()
-	}
-	l.n = h.n.Load()
-	l.sum = h.sum.Load()
-	l.m = h.m.Load()
-	return &l
 }

@@ -30,10 +30,8 @@ func promName(name string) string {
 }
 
 // PrometheusText renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4): counters and gauges as-is, histograms as
-// summaries with interpolated quantiles plus _sum/_count/_max series.
-// Output is sorted by metric name, so identical snapshots render
-// byte-identically.
+// format (version 0.0.4): counters and gauges as-is. Output is sorted
+// by metric name, so identical snapshots render byte-identically.
 func (s Snapshot) PrometheusText() string {
 	var b strings.Builder
 
@@ -55,24 +53,6 @@ func (s Snapshot) PrometheusText() string {
 	for _, n := range names {
 		pn := promName(n)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", pn, pn, s.Gauges[n])
-	}
-
-	names = names[:0]
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := s.Histograms[n]
-		pn := promName(n)
-		fmt.Fprintf(&b, "# TYPE %s summary\n", pn)
-		for _, q := range []struct {
-			label string
-			v     float64
-		}{{"0.5", h.P50}, {"0.95", h.P95}, {"0.99", h.P99}} {
-			fmt.Fprintf(&b, "%s{quantile=%q} %g\n", pn, q.label, q.v)
-		}
-		fmt.Fprintf(&b, "%s_sum %d\n%s_count %d\n%s_max %d\n", pn, h.Sum, pn, h.Count, pn, h.Max)
 	}
 	return b.String()
 }

@@ -13,21 +13,12 @@ func TestPrometheusText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("replay.events").Add(42)
 	r.Gauge("cells.running").Set(-3)
-	h := r.Histogram("walk.refs.Base Virtualized")
-	for i := 0; i < 10; i++ {
-		h.Observe(24)
-	}
 	out := r.Snapshot().PrometheusText()
 	for _, want := range []string{
 		"# TYPE vdirect_replay_events counter",
 		"vdirect_replay_events 42",
 		"# TYPE vdirect_cells_running gauge",
 		"vdirect_cells_running -3",
-		"# TYPE vdirect_walk_refs_Base_Virtualized summary",
-		`vdirect_walk_refs_Base_Virtualized{quantile="0.5"}`,
-		"vdirect_walk_refs_Base_Virtualized_sum 240",
-		"vdirect_walk_refs_Base_Virtualized_count 10",
-		"vdirect_walk_refs_Base_Virtualized_max 24",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -1,18 +1,13 @@
-// The metrics registry: named atomic counters, gauges, and log-bucketed
-// histograms. Registration (name → instrument lookup) takes a mutex;
-// recording never does — instruments are plain atomics, and callers on
-// hot paths cache the instrument pointer at setup time. Histogram
-// observation on the replay/walk hot path goes through Local shards
-// (non-atomic, owned by one goroutine) merged into the shared Histogram
-// once at collection.
+// The metrics registry: named atomic counters and gauges. Registration
+// (name → instrument lookup) takes a mutex; recording never does —
+// instruments are plain atomics, and callers on hot paths cache the
+// instrument pointer at setup time. Per-walk distributions are not
+// kept here: walk sampling (package walkprof) records each sampled
+// walk's exact cost.
 
 package telemetry
 
 import (
-	"fmt"
-	"math"
-	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -43,100 +38,12 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// numBuckets covers every bits.Len64 outcome: bucket 0 holds the value
-// 0, bucket i (i ≥ 1) holds values in [2^(i-1), 2^i - 1].
-const numBuckets = 65
-
-// Local is a single-goroutine histogram shard: plain increments, no
-// atomics, no locks — the form the replay/walk hot path can afford. A
-// simulation cell owns its Locals and merges them into a shared
-// Histogram exactly once, at cell completion.
-type Local struct {
-	counts    [numBuckets]uint64
-	n, sum, m uint64 // m is the max observed value
-}
-
-// Observe records one sample.
-func (l *Local) Observe(v uint64) {
-	l.counts[bits.Len64(v)]++
-	l.n++
-	l.sum += v
-	if v > l.m {
-		l.m = v
-	}
-}
-
-// Count returns the number of samples observed.
-func (l *Local) Count() uint64 { return l.n }
-
-// Reset zeroes the shard (the warmup boundary does this).
-func (l *Local) Reset() { *l = Local{} }
-
-// WalkProbe pairs the per-walk histograms the MMU feeds: page-table
-// memory references per walk and cycles per TLB-miss handling episode.
-// It is cell-local state, merged per translation mode at collection.
-type WalkProbe struct {
-	Refs   Local
-	Cycles Local
-}
-
-// Reset zeroes both shards.
-func (p *WalkProbe) Reset() {
-	p.Refs.Reset()
-	p.Cycles.Reset()
-}
-
-// Histogram is the registry's shared log2-bucketed histogram. Merging a
-// Local performs at most one atomic add per touched bucket, so cells
-// completing concurrently never block each other.
-type Histogram struct {
-	counts [numBuckets]atomic.Uint64
-	n, sum atomic.Uint64
-	m      atomic.Uint64
-}
-
-// Observe records one sample directly (for values produced off the hot
-// path; hot paths should Observe into a Local and Merge).
-func (h *Histogram) Observe(v uint64) {
-	h.counts[bits.Len64(v)].Add(1)
-	h.n.Add(1)
-	h.sum.Add(v)
-	h.updateMax(v)
-}
-
-// Merge folds a Local shard into the histogram.
-func (h *Histogram) Merge(l *Local) {
-	for i, c := range l.counts {
-		if c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	if l.n != 0 {
-		h.n.Add(l.n)
-		h.sum.Add(l.sum)
-		h.updateMax(l.m)
-	}
-}
-
-func (h *Histogram) updateMax(v uint64) {
-	for {
-		cur := h.m.Load()
-		if v <= cur || h.m.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Count returns the number of samples merged or observed.
-func (h *Histogram) Count() uint64 { return h.n.Load() }
-
 // Registry is a name-indexed set of instruments. The zero value is not
 // usable; call NewRegistry (or use Default).
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // NewRegistry builds an empty registry.
@@ -177,18 +84,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Reset discards every instrument. Pointers handed out earlier keep
 // working but no longer appear in snapshots.
 func (r *Registry) Reset() {
@@ -196,105 +91,14 @@ func (r *Registry) Reset() {
 	defer r.mu.Unlock()
 	r.counters = make(map[string]*Counter)
 	r.gauges = make(map[string]*Gauge)
-	r.hists = make(map[string]*Histogram)
-}
-
-// Bucket is one occupied histogram bucket covering values [Lo, Hi].
-type Bucket struct {
-	Lo    uint64 `json:"lo"`
-	Hi    uint64 `json:"hi"`
-	Count uint64 `json:"count"`
-}
-
-// HistValue is a point-in-time histogram reading. P50/P95/P99 are the
-// interpolated percentile estimates (Percentile), precomputed so
-// manifest readers and scrapers get them without reimplementing the
-// bucket math.
-type HistValue struct {
-	Count   uint64   `json:"count"`
-	Sum     uint64   `json:"sum"`
-	Max     uint64   `json:"max"`
-	P50     float64  `json:"p50,omitempty"`
-	P95     float64  `json:"p95,omitempty"`
-	P99     float64  `json:"p99,omitempty"`
-	Buckets []Bucket `json:"buckets,omitempty"`
-}
-
-// Mean returns the exact sample mean (sum and count are tracked
-// exactly; only the distribution is bucketed).
-func (h HistValue) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// Quantile returns an upper bound on the q-quantile: the top of the
-// bucket the q·Count-th sample falls in, capped at the exact max.
-func (h HistValue) Quantile(q float64) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(h.Count)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for _, b := range h.Buckets {
-		cum += b.Count
-		if cum >= target {
-			if b.Hi > h.Max {
-				return h.Max
-			}
-			return b.Hi
-		}
-	}
-	return h.Max
-}
-
-// Percentile returns an interpolated estimate of the q-quantile
-// (q in [0,1]): the rank is located in its log2 bucket and the value
-// interpolated linearly across the bucket's span, clamped to the exact
-// observed max. Unlike Quantile's upper bound, the estimate moves
-// smoothly with the rank, which is what dashboards and manifests want;
-// the true value is still somewhere within the same bucket.
-func (h HistValue) Percentile(q float64) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	target := q * float64(h.Count)
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for _, b := range h.Buckets {
-		if float64(cum)+float64(b.Count) >= target {
-			frac := (target - float64(cum)) / float64(b.Count)
-			lo, hi := float64(b.Lo), float64(b.Hi)
-			if b.Hi > h.Max || b.Hi < b.Lo { // cap at max; Hi wraps in the top bucket
-				hi = float64(h.Max)
-			}
-			if hi < lo {
-				hi = lo
-			}
-			v := lo + frac*(hi-lo)
-			if v > float64(h.Max) {
-				v = float64(h.Max)
-			}
-			return v
-		}
-		cum += b.Count
-	}
-	return float64(h.Max)
 }
 
 // Snapshot is a consistent-enough point-in-time reading of a registry:
 // each instrument is read atomically (the set is not frozen, which is
 // fine for monotonic counters and end-of-run collection).
 type Snapshot struct {
-	Counters   map[string]uint64    `json:"counters,omitempty"`
-	Gauges     map[string]int64     `json:"gauges,omitempty"`
-	Histograms map[string]HistValue `json:"histograms,omitempty"`
+	Counters map[string]uint64 `json:"counters,omitempty"`
+	Gauges   map[string]int64  `json:"gauges,omitempty"`
 }
 
 // Snapshot reads every instrument. Counter values are accumulated
@@ -308,50 +112,11 @@ func (r *Registry) Snapshot() Snapshot {
 		c.Add(name, ctr.Load())
 	}
 	s := Snapshot{
-		Counters:   c.Snapshot(),
-		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistValue, len(r.hists)),
+		Counters: c.Snapshot(),
+		Gauges:   make(map[string]int64, len(r.gauges)),
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Load()
 	}
-	for name, h := range r.hists {
-		hv := HistValue{Count: h.n.Load(), Sum: h.sum.Load(), Max: h.m.Load()}
-		for i := 0; i < numBuckets; i++ {
-			n := h.counts[i].Load()
-			if n == 0 {
-				continue
-			}
-			lo, hi := uint64(0), uint64(0)
-			if i > 0 {
-				lo = 1 << (i - 1)
-				hi = lo<<1 - 1 // wraps to MaxUint64 at i == 64
-			}
-			hv.Buckets = append(hv.Buckets, Bucket{Lo: lo, Hi: hi, Count: n})
-		}
-		hv.P50 = hv.Percentile(0.50)
-		hv.P95 = hv.Percentile(0.95)
-		hv.P99 = hv.Percentile(0.99)
-		s.Histograms[name] = hv
-	}
 	return s
-}
-
-// HistogramTable renders every histogram in the snapshot as one table
-// row (sorted by name, so the rendering is deterministic): count, exact
-// mean and max, and log2-bucket upper bounds for p50/p90/p99.
-func (s Snapshot) HistogramTable(title string) *stats.Table {
-	t := stats.NewTable(title, "metric", "count", "mean", "p50", "p90", "p99", "max")
-	names := make([]string, 0, len(s.Histograms))
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := s.Histograms[n]
-		t.AddRow(n, fmt.Sprint(h.Count), fmt.Sprintf("%.2f", h.Mean()),
-			fmt.Sprint(h.Quantile(0.50)), fmt.Sprint(h.Quantile(0.90)),
-			fmt.Sprint(h.Quantile(0.99)), fmt.Sprint(h.Max))
-	}
-	return t
 }

@@ -1,20 +1,21 @@
 // Package telemetry is the harness's process-wide observability layer:
-// a lock-free metrics registry (atomic counters, gauges, and
-// log-bucketed histograms with single-goroutine local shards merged at
-// collection), span tracing exportable as Chrome trace-event JSON
-// (chrome://tracing / Perfetto), and a per-invocation run manifest
-// recording how a run executed — config, build info, per-cell timings,
-// and a final metric snapshot.
+// a lock-free metrics registry (atomic counters and gauges), span
+// tracing exportable as Chrome trace-event JSON (chrome://tracing /
+// Perfetto), and a per-invocation run manifest recording how a run
+// executed — config, build info, per-cell timings, and a final metric
+// snapshot. Per-walk observation is not here: the one per-walk channel
+// is walk sampling (subpackage walkprof, the simulated BadgerTrap).
 //
-// Everything is off by default and costs nothing when off: the hot
-// paths (the replay loop at ~200M events/sec, the MMU walk machinery)
-// test one cached nil pointer and do no work unless a run is active.
-// When active, hot-path recording is batched (one atomic add per
-// 4096-event replay block) or thread-local (non-atomic Local histograms
-// owned by one simulation cell, merged into the shared registry once at
-// cell completion), so enabling telemetry perturbs neither results —
-// simulation output stays byte-identical — nor throughput (<2%,
-// enforced by BenchmarkTelemetryOverhead* in internal/replay).
+// Everything is off by default and costs nothing when off: the replay
+// loop (~200M events/sec) tests one cached nil pointer and does no work
+// unless a run is active. When active, hot-path recording is batched
+// (one atomic add per 4096-event replay block) and each simulation cell
+// adds its counters to the shared registry once, at completion, so
+// enabling telemetry never perturbs results — simulation output stays
+// byte-identical. Throughput stays within 3% of an unobserved run:
+// scripts/overheadgate.sh holds the best-of-rounds On/Off ratio of the
+// BenchmarkTelemetryCell* and BenchmarkTelemetryOverheadSampled* pairs
+// in internal/replay to at most 1.03.
 //
 // Lifecycle: a binary calls StartRun (usually via Flags.Start), the
 // instrumented packages record through the package-level entry points
@@ -34,8 +35,8 @@ import (
 var current atomic.Pointer[Run]
 
 // Active reports whether a telemetry run is in progress. Hot-path
-// wiring checks it once at setup time (e.g. when an engine or probe is
-// built), not per event.
+// wiring checks it once at setup time (e.g. when an engine is built or
+// a cell completes), not per event.
 func Active() bool { return current.Load() != nil }
 
 // Current returns the active run, or nil.
@@ -155,7 +156,7 @@ func goid() uint64 {
 // complete. The callback is serialized under the progress lock. It
 // replaces the scheduler's old ad-hoc Tracker and, while a run is
 // active, mirrors its state into the registry gauges
-// "sched.cells.done"/"sched.cells.total" so a long run's expvar
+// "sched.cells.done"/"sched.cells.total" so a long run's -listen
 // endpoint shows live progress.
 type Progress struct {
 	mu          sync.Mutex

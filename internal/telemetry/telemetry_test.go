@@ -2,11 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -27,109 +25,6 @@ func TestCounterAndGauge(t *testing.T) {
 	g.Add(-3)
 	if got := g.Load(); got != 7 {
 		t.Errorf("gauge = %d, want 7", got)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("walk.refs")
-	// 0 → bucket 0; 1 → [1,1]; 2,3 → [2,3]; 4..7 → [4,7]; 24 → [16,31].
-	for _, v := range []uint64{0, 1, 2, 3, 4, 7, 24} {
-		h.Observe(v)
-	}
-	s := r.Snapshot()
-	hv := s.Histograms["walk.refs"]
-	if hv.Count != 7 || hv.Sum != 41 || hv.Max != 24 {
-		t.Fatalf("count/sum/max = %d/%d/%d, want 7/41/24", hv.Count, hv.Sum, hv.Max)
-	}
-	want := []Bucket{
-		{Lo: 0, Hi: 0, Count: 1},
-		{Lo: 1, Hi: 1, Count: 1},
-		{Lo: 2, Hi: 3, Count: 2},
-		{Lo: 4, Hi: 7, Count: 2},
-		{Lo: 16, Hi: 31, Count: 1},
-	}
-	if len(hv.Buckets) != len(want) {
-		t.Fatalf("buckets = %+v, want %+v", hv.Buckets, want)
-	}
-	for i, b := range hv.Buckets {
-		if b != want[i] {
-			t.Errorf("bucket[%d] = %+v, want %+v", i, b, want[i])
-		}
-	}
-	if m := hv.Mean(); math.Abs(m-41.0/7) > 1e-9 {
-		t.Errorf("mean = %g", m)
-	}
-	// p50: the 4th of 7 samples lands in [2,3] → upper bound 3.
-	if q := hv.Quantile(0.5); q != 3 {
-		t.Errorf("p50 = %d, want 3", q)
-	}
-	// p99: bucketed bound 31 exceeds the exact max → capped at 24.
-	if q := hv.Quantile(0.99); q != 24 {
-		t.Errorf("p99 = %d, want 24 (capped at max)", q)
-	}
-}
-
-func TestHistogramTopBucketDoesNotOverflow(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("huge")
-	h.Observe(math.MaxUint64)
-	hv := r.Snapshot().Histograms["huge"]
-	if len(hv.Buckets) != 1 {
-		t.Fatalf("buckets = %+v", hv.Buckets)
-	}
-	b := hv.Buckets[0]
-	if b.Lo != 1<<63 || b.Hi != math.MaxUint64 {
-		t.Errorf("top bucket = [%d, %d]", b.Lo, b.Hi)
-	}
-	if q := hv.Quantile(1); q != math.MaxUint64 {
-		t.Errorf("p100 = %d", q)
-	}
-}
-
-func TestLocalMergeMatchesDirectObserve(t *testing.T) {
-	r := NewRegistry()
-	direct := r.Histogram("direct")
-	merged := r.Histogram("merged")
-	var shards [4]Local
-	for i := range shards {
-		for v := uint64(0); v < 100; v++ {
-			sample := v * uint64(i+1)
-			direct.Observe(sample)
-			shards[i].Observe(sample)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(l *Local) {
-			defer wg.Done()
-			merged.Merge(l)
-		}(&shards[i])
-	}
-	wg.Wait()
-	s := r.Snapshot()
-	d, m := s.Histograms["direct"], s.Histograms["merged"]
-	if d.Count != m.Count || d.Sum != m.Sum || d.Max != m.Max {
-		t.Fatalf("direct %+v != merged %+v", d, m)
-	}
-	if len(d.Buckets) != len(m.Buckets) {
-		t.Fatalf("bucket sets differ: %+v vs %+v", d.Buckets, m.Buckets)
-	}
-	for i := range d.Buckets {
-		if d.Buckets[i] != m.Buckets[i] {
-			t.Errorf("bucket[%d]: %+v vs %+v", i, d.Buckets[i], m.Buckets[i])
-		}
-	}
-}
-
-func TestWalkProbeReset(t *testing.T) {
-	var p WalkProbe
-	p.Refs.Observe(5)
-	p.Cycles.Observe(100)
-	p.Reset()
-	if p.Refs.Count() != 0 || p.Cycles.Count() != 0 {
-		t.Error("probe not zeroed by Reset")
 	}
 }
 
@@ -350,16 +245,5 @@ func TestInertSessionIsSafe(t *testing.T) {
 	var nilSess *Session
 	if err := nilSess.Close(nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogramTableRendering(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("b.metric").Observe(4)
-	r.Histogram("a.metric").Observe(2)
-	out := r.Snapshot().HistogramTable("hists").Render()
-	ia, ib := strings.Index(out, "a.metric"), strings.Index(out, "b.metric")
-	if ia < 0 || ib < 0 || ia > ib {
-		t.Errorf("rows missing or unsorted:\n%s", out)
 	}
 }

@@ -10,8 +10,8 @@
 //
 // Sampling is stride-based and owned by the simulation cell: the
 // sampler is a plain countdown decremented on the (already slow) miss
-// path, with no time, no math/rand, and no shared state — the same
-// discipline as telemetry's Local histogram shards. A cell's sample
+// path, with no time, no math/rand, and no shared state, committed to
+// the shared profile once at cell completion. A cell's sample
 // stream is therefore a pure function of that cell's access stream and
 // seed, so output is byte-identical at any scheduler parallelism or
 // shard count, and a disabled profiler costs the MMU exactly one nil

@@ -4,7 +4,8 @@
 # pair from the same internal/replay test binary:
 #
 #   BenchmarkTelemetryCellOn / BenchmarkTelemetryCellOff
-#       a telemetry run active (per-walk WalkProbe histograms) vs none
+#       a telemetry run active (replay spans, the replay.events meter
+#       and the per-cell counters) vs none
 #   BenchmarkTelemetryOverheadSampledOn / BenchmarkTelemetryOverheadSampledOff
 #       1-in-64 walkprof sampling vs none
 #
