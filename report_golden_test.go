@@ -65,9 +65,6 @@ func TestReportSmallGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
